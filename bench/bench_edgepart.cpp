@@ -129,7 +129,8 @@ int main() {
       HdrfPartitioner sequential(config);
       HdrfPartitioner pipelined(config);
       const auto seq = run_edge_partition_from_file(path, sequential);
-      PipelineConfig pipe_config;
+      StreamPlan pipe_config;
+      pipe_config.pipelined = true;
       const auto pipe = run_edge_partition_from_file(path, pipelined, pipe_config);
       if (seq.edge_assignment != pipe.edge_assignment) {
         std::cerr << "FAIL [" << spec.name

@@ -174,7 +174,8 @@ void metis_stream_partition(benchmark::State& state) {
                              graph.total_node_weight(), pc);
     StreamResult r;
     if constexpr (kPipelined) {
-      PipelineConfig config; // 1 assign thread: bit-identical to sequential
+      StreamPlan config; // 1 assign thread: bit-identical to sequential
+      config.pipelined = true;
       r = run_one_pass_from_file(path, fennel, config);
     } else {
       r = run_one_pass_from_file(path, fennel);

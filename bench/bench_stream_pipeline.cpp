@@ -79,7 +79,8 @@ int main() {
     consumer_counts.push_back(t);
   }
   for (const int consumers : consumer_counts) {
-    PipelineConfig config;
+    StreamPlan config;
+    config.pipelined = true;
     config.assign_threads = consumers;
     std::vector<BlockId> assignment;
     const double t = timed_best([&] {

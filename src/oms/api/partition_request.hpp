@@ -1,13 +1,13 @@
 /// \file partition_request.hpp
 /// \brief The one request struct behind every partitioning entry point.
 ///
-/// Historically the library surface was ~10 scattered free-function drivers
-/// (run_one_pass_from_file, buffered_partition_from_file[_resumable], the
-/// window via make-an-assigner, the edge-partition driver, ...), each taking
-/// a different config struct, so every tool re-implemented the dispatch.
-/// PartitionRequest unifies PartitionConfig, BufferedConfig, WindowConfig,
-/// EdgePartConfig and the checkpoint/pipeline/error-policy options into a
-/// single description of "partition this input like so"; oms::Partitioner
+/// The library's drivers (run_one_pass, buffered_partition, the three file
+/// drivers run by one StreamPlan, the window via make-an-assigner, ...) each
+/// take their own config struct, so every tool would re-implement the
+/// dispatch. PartitionRequest unifies PartitionConfig, BufferedConfig,
+/// WindowConfig, EdgePartConfig and the StreamPlan options (pipeline,
+/// checkpoint, error policy) into a single description of "partition this
+/// input like so"; oms::Partitioner
 /// (api/partitioner.hpp) turns it into a PartitionArtifact. The CLI flags of
 /// partition_tool and oms_serve map onto these fields one to one
 /// (cli/parse_request.hpp).

@@ -139,12 +139,18 @@ void validate_tuning(const PartitionRequest& req) {
   return bc;
 }
 
-[[nodiscard]] StreamErrorPolicy error_policy_of(const PartitionRequest& req) {
-  StreamErrorPolicy policy;
-  policy.action = req.on_error == "skip" ? StreamErrorPolicy::Action::kSkip
-                                         : StreamErrorPolicy::Action::kAbort;
-  policy.skip_budget = req.error_budget;
-  return policy;
+/// The execution plan shared by the disk routes; the caller points
+/// error_stats_out at its artifact.
+[[nodiscard]] StreamPlan stream_plan_of(const PartitionRequest& req) {
+  StreamPlan plan;
+  plan.pipelined = req.pipeline;
+  plan.assign_threads = req.io_threads;
+  plan.watchdog_ms = req.watchdog_ms;
+  plan.error_policy.action = req.on_error == "skip"
+                                 ? StreamErrorPolicy::Action::kSkip
+                                 : StreamErrorPolicy::Action::kAbort;
+  plan.error_policy.skip_budget = req.error_budget;
+  return plan;
 }
 
 /// Artifact scaffolding shared by every route.
@@ -179,18 +185,10 @@ void validate_tuning(const PartitionRequest& req) {
   }
 
   PartitionArtifact artifact = base_artifact(req, std::move(topo));
-  EdgePartitionResult result;
-  if (req.pipeline) {
-    PipelineConfig pipeline;
-    pipeline.watchdog_ms = req.watchdog_ms;
-    pipeline.error_policy = error_policy_of(req);
-    pipeline.error_stats_out = &artifact.skip_stats;
-    result = run_edge_partition_from_file(req.graph_path, *partitioner, pipeline);
-  } else {
-    result = run_edge_partition_from_file(req.graph_path, *partitioner,
-                                          error_policy_of(req),
-                                          &artifact.skip_stats);
-  }
+  StreamPlan plan = stream_plan_of(req);
+  plan.error_stats_out = &artifact.skip_stats;
+  EdgePartitionResult result =
+      run_edge_partition_from_file(req.graph_path, *partitioner, plan);
 
   artifact.edge_partition = true;
   artifact.num_nodes = result.stats.num_vertices;
@@ -208,90 +206,61 @@ void validate_tuning(const PartitionRequest& req) {
   return artifact;
 }
 
-/// The disk-native node-stream route: one-pass (plain, pipelined or
-/// resumable) and the buffered drivers, never materializing the graph.
+/// The disk-native node-stream route: the one-pass and buffered file
+/// drivers, never materializing the graph.
 [[nodiscard]] PartitionArtifact partition_metis_stream(
     const PartitionRequest& req, std::optional<SystemHierarchy> topo) {
   // True streaming: only the header is read ahead of time. Capacity bounds
   // assume unit node weights (total = n), which the header lets us check.
-  MetisNodeStream probe(req.graph_path);
-  const MetisHeader header = probe.header();
+  const MetisHeader header = MetisNodeStream(req.graph_path).header();
   if (header.has_node_weights) {
     throw InvalidRequest(
         "--from-disk assumes unit node weights; this graph has node weights "
         "(load it without --from-disk)");
   }
-  const bool checkpointing = !req.checkpoint.empty() || !req.resume.empty();
+  PartitionArtifact artifact = base_artifact(req, std::move(topo));
+  const BufferedConfig bc = buffered_config(req, artifact.hierarchy);
+  if (req.algo == "buffered") {
+    artifact.algo = buffered_checkpoint_algo_id(bc);
+  }
+  artifact.num_nodes = header.num_nodes;
+  artifact.num_edges = header.num_edges;
+
+  StreamPlan plan = stream_plan_of(req);
+  plan.error_stats_out = &artifact.skip_stats;
+  plan.checkpoint_path = req.checkpoint;
+  plan.checkpoint_every = req.checkpoint_every;
+  plan.checkpoint_algo = artifact.algo;
+  plan.checkpoint_seed = req.seed;
   // Resume validation happens up front, against the header of the *actual*
   // input: a checkpoint from a different algorithm, k, seed or graph is a
   // usage error (InvalidRequest), not a mid-stream IoError.
-  const std::string ckpt_algo =
-      req.algo == "buffered"
-          ? std::string(buffered_checkpoint_algo_id(buffered_config(req, topo)))
-          : req.algo;
   std::optional<CheckpointState> resume_state;
   if (!req.resume.empty()) {
     try {
       resume_state = read_checkpoint_file(req.resume);
-      validate_resume(resume_state->meta, ckpt_algo,
+      validate_resume(resume_state->meta, artifact.algo,
                       static_cast<std::uint64_t>(req.k), req.seed,
                       header.num_nodes);
     } catch (const IoError& e) {
       throw InvalidRequest(e.what());
     }
+    plan.resume = &*resume_state;
   }
-  const CheckpointState* resume_ptr =
-      resume_state.has_value() ? &*resume_state : nullptr;
-  CheckpointConfig ckpt;
-  ckpt.path = req.checkpoint;
-  ckpt.every_nodes = req.checkpoint_every;
-
-  PartitionArtifact artifact = base_artifact(req, std::move(topo));
-  artifact.num_nodes = header.num_nodes;
-  artifact.num_edges = header.num_edges;
   // The header announces the stream size up front — that is what turns the
   // --progress heartbeat from a plain rate into percent-done + ETA.
   telemetry::gauge_set(telemetry::Gauge::kProgressTotalItems, header.num_nodes);
 
   if (req.algo == "buffered") {
-    const BufferedConfig bc = buffered_config(req, artifact.hierarchy);
-    artifact.algo = buffered_checkpoint_algo_id(bc);
-    BufferedResult br;
-    if (req.pipeline) {
-      // The buffered model has its own driver: whole buffers are modeled and
-      // refined jointly, with the pipeline parsing the next buffers ahead.
-      PipelineConfig pipeline;
-      pipeline.watchdog_ms = req.watchdog_ms;
-      br = buffered_partition_from_file(req.graph_path, req.k, bc, pipeline);
-    } else if (checkpointing) {
-      br = buffered_partition_from_file_resumable(req.graph_path, req.k, bc,
-                                                  ckpt, resume_ptr);
-    } else {
-      br = buffered_partition_from_file(req.graph_path, req.k, bc);
-    }
+    BufferedResult br =
+        buffered_partition_from_file(req.graph_path, req.k, bc, plan);
     artifact.assignment = std::move(br.assignment);
     artifact.elapsed_s = br.elapsed_s;
   } else {
     auto assigner = make_assigner(req, artifact.hierarchy, header.num_nodes,
                                   header.num_edges,
                                   static_cast<NodeWeight>(header.num_nodes));
-    StreamResult result;
-    if (req.pipeline) {
-      PipelineConfig pipeline;
-      pipeline.assign_threads = req.io_threads;
-      pipeline.watchdog_ms = req.watchdog_ms;
-      pipeline.error_policy = error_policy_of(req);
-      pipeline.error_stats_out = &artifact.skip_stats;
-      result = run_one_pass_from_file(req.graph_path, *assigner, pipeline);
-    } else {
-      // The sequential disk path is the checkpointing driver; with no
-      // checkpoint/resume it degenerates to the plain one-pass loop.
-      MetisNodeStream stream(req.graph_path, MetisNodeStream::kDefaultBufferBytes);
-      stream.set_error_policy(error_policy_of(req));
-      result = run_one_pass_resumable(stream, *assigner, ckpt_algo, req.seed,
-                                      ckpt, resume_ptr);
-      artifact.skip_stats = stream.error_stats();
-    }
+    StreamResult result = run_one_pass_from_file(req.graph_path, *assigner, plan);
     artifact.assignment = std::move(result.assignment);
     artifact.elapsed_s = result.elapsed_s;
     artifact.work = result.work;
@@ -373,8 +342,8 @@ PartitionRequest Partitioner::normalize(PartitionRequest req) {
     throw InvalidRequest("need --k or --hierarchy");
   }
   validate_tuning(req);
-  // Checkpoint/resume gating: the checkpointing drivers are the sequential
-  // disk streamers for the one-pass algorithms and the buffered model.
+  // Checkpoint/resume gating: snapshots are taken by the sequential plan of
+  // the METIS node drivers (one-pass and buffered).
   const bool checkpointing = !req.checkpoint.empty() || !req.resume.empty();
   if (checkpointing) {
     if (edge_list) {
@@ -402,9 +371,6 @@ PartitionRequest Partitioner::normalize(PartitionRequest req) {
   if (skip_errors && !edge_list && !req.from_disk) {
     throw InvalidRequest("--on-error skip applies to streaming runs; add "
                          "--from-disk (or use an edge-list input)");
-  }
-  if (skip_errors && req.algo == "buffered") {
-    throw InvalidRequest("--on-error skip is not supported with --algo buffered");
   }
   // Unsupported combinations get exactly one diagnostic each. Window and
   // buffered stream from disk like the one-pass algorithms; the only

@@ -1,13 +1,14 @@
 /// \file driver.hpp
-/// \brief The edge-streaming loop: drive an edge source through a
-///        StreamingEdgePartitioner, sequentially or with the parse/assign
-///        pipeline of the node stream (PR 3) reused unchanged.
+/// \brief The edge-streaming drivers: an edge-list file through a
+///        StreamingEdgePartitioner by any StreamPlan (one fill and one
+///        consume step handed to run_batched_pipeline, like the node
+///        drivers), and the in-memory pass over an edge span.
 ///
 /// Vertex-cut assigners are order-dependent sequential algorithms (partial
-/// degrees, min/max load tracking), so the pipelined driver always runs one
+/// degrees, min/max load tracking), so a pipelined plan always runs one
 /// consumer: the reader thread parses ahead into recycled EdgeBatch buffers
 /// while the calling thread assigns — the output is bit-identical to the
-/// sequential driver, only the parse latency is hidden.
+/// sequential plan, only the parse latency is hidden.
 #pragma once
 
 #include <span>
@@ -36,21 +37,13 @@ struct EdgePartitionResult {
   EdgeStreamStats stats;
 };
 
-/// Stream the edge-list file through \p partitioner (sequential; disk order
-/// is the edge order). \p error_policy is the malformed-line policy
-/// (--on-error); \p error_stats_out, when non-null, receives the skip
-/// accounting at the end of the pass.
+/// Stream the edge-list file through \p partitioner as \p plan says (disk
+/// order is the edge order). plan.batch_nodes caps the edges per batch;
+/// assign_threads and the checkpoint fields do not apply (edge streams are
+/// not checkpointable).
 [[nodiscard]] EdgePartitionResult run_edge_partition_from_file(
     const std::string& path, StreamingEdgePartitioner& partitioner,
-    const StreamErrorPolicy& error_policy = {},
-    StreamErrorStats* error_stats_out = nullptr);
-
-/// Same decisions, pipelined: a producer thread parses EdgeBatches while the
-/// calling thread assigns (PipelineConfig::assign_threads is ignored — see
-/// the file comment). batch_nodes/ring_batches/reader_buffer_bytes apply.
-[[nodiscard]] EdgePartitionResult run_edge_partition_from_file(
-    const std::string& path, StreamingEdgePartitioner& partitioner,
-    const PipelineConfig& config);
+    const StreamPlan& plan = {});
 
 /// In-memory pass over an already-materialized edge sequence (tests,
 /// benchmarks, restreaming experiments). Self-loops are skipped like the

@@ -1,133 +1,53 @@
 #include "oms/stream/buffered_stream_driver.hpp"
 
-#include <limits>
-
+#include "oms/stream/checkpoint.hpp"
 #include "oms/stream/metis_stream.hpp"
 #include "oms/stream/node_batch.hpp"
 #include "oms/stream/pipeline_core.hpp"
-#include "oms/util/fault_injection.hpp"
 #include "oms/util/io_error.hpp"
 #include "oms/util/timer.hpp"
 
 namespace oms {
 
-namespace {
-
-/// The balance bound needs the total node weight before any node arrives;
-/// the METIS header only carries n, so weighted files cannot be streamed.
-void require_unit_weights(const std::string& path, const MetisHeader& header) {
-  if (header.has_node_weights) {
+BufferedResult buffered_partition_from_file(const std::string& path, BlockId k,
+                                            const BufferedConfig& config,
+                                            const StreamPlan& plan) {
+  MetisNodeStream stream(path, plan.reader_buffer_bytes);
+  // The balance bound needs the total node weight before any node arrives;
+  // the METIS header only carries n, so weighted files cannot be streamed.
+  if (stream.header().has_node_weights) {
     throw IoError(path + ": buffered disk streaming assumes unit node weights "
                          "(load the graph in memory instead)");
   }
-}
 
-[[nodiscard]] BufferedResult finish(BufferedPartitioner&& core, Timer& timer) {
+  Timer timer;
+  BufferedPartitioner core(stream.header().num_nodes,
+                           static_cast<NodeWeight>(stream.header().num_nodes), k,
+                           config);
+  SnapshotSchedule snapshots(
+      plan, stream, k,
+      [&](CheckpointWriter& w) {
+        core.save_stream_state(w);
+        return true;
+      },
+      [&](CheckpointReader& r) {
+        core.load_stream_state(r);
+        return true;
+      });
+  // One consumer: buffers are optimized strictly in stream order, whether or
+  // not a reader parses ahead (bounded by the ring — backpressure, not
+  // buildup).
+  run_batched_pipeline<NodeBatch>(
+      stream, plan, /*consumers=*/1,
+      [&](NodeBatch& batch) { return stream.fill_batch(batch, config.buffer_size); },
+      [&](const NodeBatch& batch, int /*thread_id*/) { core.process_buffer(batch); },
+      [&](const NodeBatch& batch) { snapshots.at_boundary(batch.size()); });
+
   BufferedResult result;
   result.buffers_processed = core.buffers_processed();
   result.assignment = core.take_assignment();
   result.elapsed_s = timer.elapsed_s();
   return result;
-}
-
-} // namespace
-
-BufferedResult buffered_partition_from_file(const std::string& path, BlockId k,
-                                            const BufferedConfig& config) {
-  MetisNodeStream stream(path);
-  require_unit_weights(path, stream.header());
-
-  Timer timer;
-  BufferedPartitioner core(stream.header().num_nodes,
-                           static_cast<NodeWeight>(stream.header().num_nodes), k,
-                           config);
-  NodeBatch batch;
-  while (stream.fill_batch(batch, config.buffer_size) > 0) {
-    core.process_buffer(batch);
-  }
-  return finish(std::move(core), timer);
-}
-
-BufferedResult buffered_partition_from_file(const std::string& path, BlockId k,
-                                            const BufferedConfig& config,
-                                            const PipelineConfig& pipeline) {
-  MetisNodeStream stream(path, pipeline.reader_buffer_bytes);
-  require_unit_weights(path, stream.header());
-
-  Timer timer;
-  BufferedPartitioner core(stream.header().num_nodes,
-                           static_cast<NodeWeight>(stream.header().num_nodes), k,
-                           config);
-  // One consumer: buffers are optimized strictly in stream order while the
-  // reader parses ahead (bounded by the ring — backpressure, not buildup).
-  run_batched_pipeline<NodeBatch>(
-      pipeline.ring_batches, /*consumers=*/1,
-      [&](NodeBatch& batch) {
-        return stream.fill_batch(batch, config.buffer_size);
-      },
-      [&](const NodeBatch& batch, int /*thread_id*/) {
-        core.process_buffer(batch);
-      },
-      pipeline.watchdog_ms);
-  return finish(std::move(core), timer);
-}
-
-BufferedResult buffered_partition_from_file_resumable(
-    const std::string& path, BlockId k, const BufferedConfig& config,
-    const CheckpointConfig& checkpoint, const CheckpointState* resume) {
-  MetisNodeStream stream(path);
-  require_unit_weights(path, stream.header());
-
-  Timer timer;
-  BufferedPartitioner core(stream.header().num_nodes,
-                           static_cast<NodeWeight>(stream.header().num_nodes), k,
-                           config);
-  std::uint64_t streamed = 0;
-  if (resume != nullptr) {
-    CheckpointReader r(resume->payload);
-    core.load_stream_state(r);
-    r.expect_end();
-    streamed = resume->meta.nodes_streamed;
-    stream.resume_at(resume->meta.input_offset, resume->meta.input_line_no,
-                     static_cast<NodeId>(streamed));
-  }
-
-  constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
-  const std::uint64_t every =
-      checkpoint.path.empty() || checkpoint.every_nodes == 0 ? kNever
-                                                             : checkpoint.every_nodes;
-  std::uint64_t next_snapshot =
-      every == kNever ? kNever : (streamed / every + 1) * every;
-
-  NodeBatch batch;
-  while (stream.fill_batch(batch, config.buffer_size) > 0) {
-    core.process_buffer(batch);
-    streamed += batch.size();
-    if (streamed >= next_snapshot) {
-      CheckpointMeta meta;
-      meta.algo = buffered_checkpoint_algo_id(config);
-      meta.k = static_cast<std::uint64_t>(k);
-      meta.seed = config.seed;
-      meta.num_nodes = stream.header().num_nodes;
-      meta.nodes_streamed = streamed;
-      meta.input_offset = stream.next_offset();
-      meta.input_line_no = stream.line_no();
-      CheckpointWriter w;
-      core.save_stream_state(w);
-      write_checkpoint_file(checkpoint.path, meta, w.bytes());
-      // Deterministic stand-in for kill -9 right after a durable snapshot.
-      if (fault_fires(FaultSite::kCheckpointDie)) {
-        throw IoError("injected crash after checkpoint at node " +
-                      std::to_string(streamed));
-      }
-      // One buffer can cross several cadence points; snapshot once per
-      // boundary, then catch the schedule up.
-      while (next_snapshot <= streamed) {
-        next_snapshot += every;
-      }
-    }
-  }
-  return finish(std::move(core), timer);
 }
 
 } // namespace oms

@@ -4,25 +4,23 @@
 ///        batches, never materializing the graph — O(buffer + k) state
 ///        beyond the assignment vector.
 ///
-/// Two drivers over the same core:
-///  * sequential — fill_batch() / process_buffer() alternate on one thread;
-///  * pipelined  — the pipeline_core producer/consumer ring parses the next
-///    buffers on a reader thread while the (single) consumer builds and
-///    refines the current model, so ingest overlaps optimization exactly
-///    like the one-pass pipeline. Buffers are always committed in stream
-///    order, so both drivers — and the in-memory buffered_partition() —
-///    produce bit-identical partitions on the same file.
+/// The driver is one fill step (parse the next buffer) and one consume step
+/// (BufferedPartitioner::process_buffer) handed to run_batched_pipeline, so
+/// it runs every StreamPlan: sequential, with snapshots at buffer boundaries,
+/// or pipelined, where a reader thread parses the next buffers while the
+/// single consumer builds and refines the current model. Buffers are always
+/// committed in stream order, so every plan — and the in-memory
+/// buffered_partition() — produces bit-identical partitions on the same file.
 ///
-/// Both drivers honor config.engine: the default lp engine or the
-/// multilevel inner engine (contract / initial-partition / refine per
-/// buffer). The multilevel engine keys its per-buffer seed off the buffer
-/// index alone, so it too is deterministic across all three entry points.
+/// The driver honors config.engine: the default lp engine or the multilevel
+/// inner engine (contract / initial-partition / refine per buffer). The
+/// multilevel engine keys its per-buffer seed off the buffer index alone, so
+/// it too is deterministic across plans.
 #pragma once
 
 #include <string>
 
 #include "oms/buffered/buffered_partitioner.hpp"
-#include "oms/stream/checkpoint.hpp"
 #include "oms/stream/pipeline.hpp"
 
 namespace oms {
@@ -35,30 +33,18 @@ namespace oms {
                                                       : "buffered:lp";
 }
 
-/// Stream \p path buffer by buffer through the buffered partitioner.
+/// Stream \p path buffer by buffer through the buffered partitioner as
+/// \p plan says. Buffers hold config.buffer_size nodes (plan.batch_nodes,
+/// batch_arcs and assign_threads do not apply: the model build is inherently
+/// sequential, so there is always one consumer). A checkpointing plan
+/// snapshots at the first buffer boundary at or past each multiple of
+/// plan.checkpoint_every, stamped with plan.checkpoint_algo (normally
+/// buffered_checkpoint_algo_id(config)) and plan.checkpoint_seed.
 /// Requires unit node weights (the balance bound Lmax must be known before
 /// the pass; the header only reveals n); throws oms::IoError otherwise, and
 /// for any malformed content, like every disk driver.
 [[nodiscard]] BufferedResult buffered_partition_from_file(
-    const std::string& path, BlockId k, const BufferedConfig& config);
-
-/// Same decisions, pipelined: a reader thread parses buffer b+1..b+ring
-/// while the consumer optimizes buffer b. The model build is inherently
-/// sequential, so \p pipeline.assign_threads is ignored (always 1 consumer);
-/// batch_nodes is governed by config.buffer_size. IoError from the reader
-/// thread is rethrown on the caller after all threads joined.
-[[nodiscard]] BufferedResult buffered_partition_from_file(
     const std::string& path, BlockId k, const BufferedConfig& config,
-    const PipelineConfig& pipeline);
-
-/// Sequential buffered streaming with periodic checkpoints and optional
-/// resume. Snapshots land at buffer boundaries — the first boundary at or
-/// past each multiple of \p checkpoint.every_nodes — so resuming re-enters
-/// the stream exactly between two process_buffer() calls; the result is
-/// bit-identical to the uninterrupted drivers. \p resume must already have
-/// passed validate_resume against buffered_checkpoint_algo_id(config).
-[[nodiscard]] BufferedResult buffered_partition_from_file_resumable(
-    const std::string& path, BlockId k, const BufferedConfig& config,
-    const CheckpointConfig& checkpoint, const CheckpointState* resume);
+    const StreamPlan& plan = {});
 
 } // namespace oms

@@ -1,18 +1,20 @@
 #include "oms/stream/checkpoint.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <utility>
 
 #include "oms/stream/block_weights.hpp"
 #include "oms/stream/metis_stream.hpp"
 #include "oms/telemetry/metrics.hpp"
+#include "oms/util/assert.hpp"
 #include "oms/util/assignment_array.hpp"
 #include "oms/util/crc32.hpp"
 #include "oms/util/fault_injection.hpp"
 #include "oms/util/io_error.hpp"
-#include "oms/util/timer.hpp"
 
 namespace oms {
 
@@ -21,6 +23,7 @@ namespace {
 /// "OMSCKPT1" little-endian.
 constexpr std::uint64_t kCheckpointMagic = 0x3154504B43534D4FULL;
 constexpr std::uint32_t kCheckpointVersion = 1;
+constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
 
 struct FileCloser {
   void operator()(std::FILE* f) const noexcept { std::fclose(f); }
@@ -49,6 +52,10 @@ void put_meta(CheckpointWriter& w, const CheckpointMeta& meta) {
   return meta;
 }
 
+[[nodiscard]] IoError unsupported(const std::string& algo) {
+  return IoError("algorithm '" + algo + "' does not support checkpoint/resume");
+}
+
 } // namespace
 
 void CheckpointWriter::put_string(const std::string& s) {
@@ -74,6 +81,9 @@ std::string CheckpointReader::get_string() {
 void CheckpointReader::get_raw(void* out, std::size_t bytes) {
   if (bytes > remaining()) {
     throw IoError("checkpoint: truncated payload");
+  }
+  if (bytes == 0) {
+    return; // an empty payload's data() may be null, which memcpy forbids
   }
   std::memcpy(out, cur_, bytes);
   cur_ += bytes;
@@ -238,79 +248,63 @@ void load_block_weights(CheckpointReader& r, BlockWeights& weights) {
   }
 }
 
-StreamResult run_one_pass_resumable(MetisNodeStream& stream,
-                                    OnePassAssigner& assigner,
-                                    const std::string& algo, std::uint64_t seed,
-                                    const CheckpointConfig& checkpoint,
-                                    const CheckpointState* resume) {
-  // prepare() first: it may re-layout the block weights, and load must land
-  // in the final layout.
-  assigner.prepare(1);
-
-  std::uint64_t streamed = 0;
-  if (resume != nullptr) {
-    CheckpointReader r(resume->payload);
-    if (!assigner.load_stream_state(r)) {
-      throw IoError("algorithm '" + algo + "' does not support checkpoint/resume");
+SnapshotSchedule::SnapshotSchedule(const StreamPlan& plan, MetisNodeStream& stream,
+                                   BlockId k, Save save, const Load& load)
+    : plan_(plan), stream_(stream), k_(k), save_(std::move(save)),
+      next_snapshot_(kNever) {
+  if (plan.resume != nullptr) {
+    CheckpointReader r(plan.resume->payload);
+    if (!load(r)) {
+      throw unsupported(plan.checkpoint_algo);
     }
     r.expect_end();
-    streamed = resume->meta.nodes_streamed;
-    stream.resume_at(resume->meta.input_offset, resume->meta.input_line_no,
-                     static_cast<NodeId>(streamed));
+    streamed_ = plan.resume->meta.nodes_streamed;
+    stream.resume_at(plan.resume->meta.input_offset,
+                     plan.resume->meta.input_line_no,
+                     static_cast<NodeId>(streamed_));
   }
+  if (!plan.checkpoint_path.empty() && plan.checkpoint_every != 0) {
+    OMS_ASSERT_MSG(!plan.pipelined,
+                   "snapshots need a sequential plan: a reader thread parses "
+                   "past every batch boundary");
+    next_snapshot_ = (streamed_ / plan.checkpoint_every + 1) * plan.checkpoint_every;
+  }
+}
 
-  const std::uint64_t every =
-      checkpoint.path.empty() || checkpoint.every_nodes == 0
-          ? std::numeric_limits<std::uint64_t>::max()
-          : checkpoint.every_nodes;
-  std::uint64_t next_snapshot =
-      every == std::numeric_limits<std::uint64_t>::max()
-          ? every
-          : (streamed / every + 1) * every;
+std::size_t SnapshotSchedule::cap(std::size_t batch_nodes) const noexcept {
+  return static_cast<std::size_t>(
+      std::min<std::uint64_t>(batch_nodes, next_snapshot_ - streamed_));
+}
 
-  StreamResult result;
-  Timer timer;
-  WorkCounters counters;
-  StreamedNode node{};
-  std::uint64_t pending_nodes = 0;
-  while (stream.next(node)) {
-    assigner.assign(node, 0, counters);
-    ++streamed;
-    if (++pending_nodes == 4096) {
-      telemetry::metric_add(telemetry::Counter::kStreamNodes, pending_nodes);
-      pending_nodes = 0;
-    }
-    if (streamed >= next_snapshot) {
-      CheckpointMeta meta;
-      meta.algo = algo;
-      meta.k = static_cast<std::uint64_t>(assigner.num_blocks());
-      meta.seed = seed;
-      meta.num_nodes = stream.header().num_nodes;
-      meta.nodes_streamed = streamed;
-      meta.input_offset = stream.next_offset();
-      meta.input_line_no = stream.line_no();
-      CheckpointWriter w;
-      if (!assigner.save_stream_state(w)) {
-        throw IoError("algorithm '" + algo + "' does not support checkpoint/resume");
-      }
-      write_checkpoint_file(checkpoint.path, meta, w.bytes());
-      // The deterministic stand-in for kill -9: the snapshot is durable, the
-      // process dies before assigning another node.
-      if (fault_fires(FaultSite::kCheckpointDie)) {
-        throw IoError("injected crash after checkpoint at node " +
-                      std::to_string(streamed));
-      }
-      next_snapshot += every;
-    }
+void SnapshotSchedule::at_boundary(std::size_t nodes) {
+  streamed_ += nodes;
+  if (streamed_ < next_snapshot_) {
+    return;
   }
-  if (pending_nodes != 0) {
-    telemetry::metric_add(telemetry::Counter::kStreamNodes, pending_nodes);
+  CheckpointMeta meta;
+  meta.algo = plan_.checkpoint_algo;
+  meta.k = static_cast<std::uint64_t>(k_);
+  meta.seed = plan_.checkpoint_seed;
+  meta.num_nodes = stream_.header().num_nodes;
+  meta.nodes_streamed = streamed_;
+  meta.input_offset = stream_.next_offset();
+  meta.input_line_no = stream_.line_no();
+  CheckpointWriter w;
+  if (!save_(w)) {
+    throw unsupported(plan_.checkpoint_algo);
   }
-  telemetry::publish_work(counters);
-  result.elapsed_s = timer.elapsed_s();
-  result.work = counters;
-  result.assignment = assigner.take_assignment();
-  return result;
+  write_checkpoint_file(plan_.checkpoint_path, meta, w.bytes());
+  // The deterministic stand-in for kill -9: the snapshot is durable, the
+  // process dies before consuming another batch.
+  if (fault_fires(FaultSite::kCheckpointDie)) {
+    throw IoError("injected crash after checkpoint at node " +
+                  std::to_string(streamed_));
+  }
+  // One batch can cross several cadence points; snapshot once per boundary,
+  // then catch the schedule up.
+  while (next_snapshot_ <= streamed_) {
+    next_snapshot_ += plan_.checkpoint_every;
+  }
 }
 
 } // namespace oms

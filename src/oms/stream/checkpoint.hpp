@@ -27,17 +27,17 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
-#include "oms/stream/one_pass_driver.hpp"
+#include "oms/stream/pipeline.hpp"
 #include "oms/types.hpp"
 
 namespace oms {
 
 class AssignmentArray;
 class BlockWeights;
-class MetisNodeStream;
 
 /// Append-only byte buffer with typed put_* helpers; the payload side of a
 /// partitioner's save_stream_state().
@@ -131,24 +131,44 @@ void load_assignment(CheckpointReader& r, std::vector<BlockId>& assignment);
 void save_block_weights(CheckpointWriter& w, const BlockWeights& weights);
 void load_block_weights(CheckpointReader& r, BlockWeights& weights);
 
-// --- checkpointing drivers -------------------------------------------------
+// --- the snapshot schedule of a sequential disk run -----------------------
 
-struct CheckpointConfig {
-  std::string path;                   ///< empty = checkpointing disabled
-  std::uint64_t every_nodes = 65536;  ///< snapshot cadence in streamed nodes
-};
-
-/// Sequential one-pass streaming with periodic checkpoints and optional
-/// resume. \p stream must be freshly constructed (header read, no data
-/// consumed); \p resume, when given, must already have passed
-/// validate_resume. \p algo/\p seed stamp the written snapshots.
+/// Checkpoint/resume for one disk run, used as the batch-boundary hook of
+/// run_batched_pipeline by every node-stream driver. Construction resumes
+/// plan.resume, if set: its payload goes to \p load and \p stream jumps to
+/// the recorded position. at_boundary() then writes a snapshot at the first
+/// batch boundary at or past each multiple of plan.checkpoint_every, so
+/// resuming re-enters the stream exactly between two batches and the result
+/// is bit-identical to an uninterrupted run. Drivers that cut their batches
+/// with cap() get snapshots on the exact multiples.
 /// FaultSite::kCheckpointDie fires right after a snapshot is durably on disk
 /// — the chaos harness uses it as a deterministic stand-in for kill -9.
-[[nodiscard]] StreamResult run_one_pass_resumable(MetisNodeStream& stream,
-                                                  OnePassAssigner& assigner,
-                                                  const std::string& algo,
-                                                  std::uint64_t seed,
-                                                  const CheckpointConfig& checkpoint,
-                                                  const CheckpointState* resume);
+class SnapshotSchedule {
+public:
+  /// Serialize / restore the consumer's cross-node state. Returning false
+  /// means the algorithm cannot checkpoint, reported as IoError.
+  using Save = std::function<bool(CheckpointWriter&)>;
+  using Load = std::function<bool(CheckpointReader&)>;
+
+  /// \p k is stamped into the snapshots. A plan with a checkpoint path must
+  /// be sequential (asserted): a reader thread would have parsed past the
+  /// boundary, so the stream position would not match the snapshot.
+  SnapshotSchedule(const StreamPlan& plan, MetisNodeStream& stream, BlockId k,
+                   Save save, const Load& load);
+
+  /// \p batch_nodes, shortened so the batch ends on the next snapshot point.
+  [[nodiscard]] std::size_t cap(std::size_t batch_nodes) const noexcept;
+
+  /// The boundary hook: \p nodes more were consumed; snapshot if due.
+  void at_boundary(std::size_t nodes);
+
+private:
+  const StreamPlan& plan_;
+  MetisNodeStream& stream_;
+  BlockId k_;
+  Save save_;
+  std::uint64_t streamed_ = 0;
+  std::uint64_t next_snapshot_;
+};
 
 } // namespace oms

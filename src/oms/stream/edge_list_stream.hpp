@@ -74,7 +74,7 @@ public:
   /// first end-of-file when the stream delivered no edge at all.
   bool next(StreamedEdge& out);
 
-  /// Chunk handoff for the pipelined driver: parse up to \p max_edges edges
+  /// Chunk handoff for the edge driver: parse up to \p max_edges edges
   /// into \p batch. Returns the number parsed; 0 means exhausted.
   std::size_t fill_batch(EdgeBatch& batch, std::size_t max_edges);
 

@@ -4,7 +4,6 @@
 
 #include "oms/telemetry/metrics.hpp"
 #include "oms/util/assert.hpp"
-#include "oms/util/timer.hpp"
 
 namespace oms {
 
@@ -174,35 +173,6 @@ void MetisNodeStream::resume_at(std::uint64_t offset, std::uint64_t line_no,
   }
   reader_.seek(offset, line_no);
   next_id_ = next_id;
-}
-
-StreamResult run_one_pass_from_file(const std::string& path,
-                                    OnePassAssigner& assigner) {
-  MetisNodeStream stream(path);
-  assigner.prepare(1);
-
-  StreamResult result;
-  Timer timer;
-  WorkCounters counters;
-  StreamedNode node{};
-  // Node counting is batched (flushed every 4096) so the armed-telemetry
-  // cost stays off the per-node path; fill_batch() covers pipelined runs.
-  std::uint64_t pending_nodes = 0;
-  while (stream.next(node)) {
-    assigner.assign(node, 0, counters);
-    if (++pending_nodes == 4096) {
-      telemetry::metric_add(telemetry::Counter::kStreamNodes, pending_nodes);
-      pending_nodes = 0;
-    }
-  }
-  if (pending_nodes != 0) {
-    telemetry::metric_add(telemetry::Counter::kStreamNodes, pending_nodes);
-  }
-  telemetry::publish_work(counters);
-  result.elapsed_s = timer.elapsed_s();
-  result.work = counters;
-  result.assignment = assigner.take_assignment();
-  return result;
 }
 
 } // namespace oms

@@ -1,6 +1,7 @@
 /// \file metis_stream.hpp
-/// \brief True disk streaming: parse a METIS graph file node-by-node with
-///        O(max degree) buffering and feed each node to a one-pass assigner.
+/// \brief True disk streaming: parse a METIS graph file node by node (or
+///        batch by batch) with O(max degree) buffering; the disk drivers
+///        (pipeline.hpp) feed the nodes to an assigner.
 ///
 /// This realizes the paper's "the algorithm could also be run streaming the
 /// graph from hard disk" and is what the memory experiment (Section 4.1)
@@ -21,7 +22,7 @@
 #include "oms/stream/error_policy.hpp"
 #include "oms/stream/line_reader.hpp"
 #include "oms/stream/node_batch.hpp"
-#include "oms/stream/one_pass_driver.hpp"
+#include "oms/stream/streamed_node.hpp"
 #include "oms/types.hpp"
 #include "oms/util/io_error.hpp"
 
@@ -58,7 +59,7 @@ public:
   /// \p out remain valid until the next call.
   bool next(StreamedNode& out);
 
-  /// Chunk handoff for the pipelined driver: parse up to \p max_nodes
+  /// Chunk handoff for the disk drivers: parse up to \p max_nodes
   /// consecutive nodes (fewer when \p max_arcs adjacency entries accumulate
   /// first — hub-heavy regions cap batch memory by arcs, not node count)
   /// directly into \p batch's flat storage. Returns the number of nodes
@@ -123,10 +124,5 @@ private:
   StreamErrorPolicy error_policy_;
   StreamErrorStats error_stats_;
 };
-
-/// Stream the file through \p assigner (sequential; disk order is the node
-/// order). Returns the assignment and timing like run_one_pass.
-[[nodiscard]] StreamResult run_one_pass_from_file(const std::string& path,
-                                                  OnePassAssigner& assigner);
 
 } // namespace oms

@@ -47,7 +47,7 @@ public:
   /// Checkpoint support (stream/checkpoint.hpp): serialize / restore every
   /// piece of state that is not derivable from the construction config, so a
   /// resumed pass continues bit-identically. Both default to "unsupported"
-  /// (return false); the resumable driver turns that into a clean IoError.
+  /// (return false); the snapshot schedule turns that into a clean IoError.
   /// load_stream_state is called after prepare() on a freshly constructed
   /// assigner with identical config.
   [[nodiscard]] virtual bool save_stream_state(CheckpointWriter& /*writer*/) const {

@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "oms/stream/checkpoint.hpp"
 #include "oms/stream/node_batch.hpp"
 #include "oms/stream/pipeline_core.hpp"
 #include "oms/util/parallel.hpp"
@@ -11,11 +12,16 @@ namespace oms {
 
 StreamResult run_one_pass_from_file(const std::string& path,
                                     OnePassAssigner& assigner,
-                                    const PipelineConfig& config) {
-  const int consumers = resolve_threads(config.assign_threads);
-  MetisNodeStream stream(path, config.reader_buffer_bytes);
-  stream.set_error_policy(config.error_policy);
+                                    const StreamPlan& plan) {
+  const int consumers = plan.pipelined ? resolve_threads(plan.assign_threads) : 1;
+  MetisNodeStream stream(path, plan.reader_buffer_bytes);
+  // prepare() first: it may re-layout the block weights, and a resumed
+  // state must land in the final layout.
   assigner.prepare(consumers);
+  SnapshotSchedule snapshots(
+      plan, stream, assigner.num_blocks(),
+      [&](CheckpointWriter& w) { return assigner.save_stream_state(w); },
+      [&](CheckpointReader& r) { return assigner.load_stream_state(r); });
 
   StreamResult result;
   Timer timer;
@@ -25,9 +31,10 @@ StreamResult run_one_pass_from_file(const std::string& path,
   // once per batch, not once per node (no false sharing on the hot path).
   std::vector<WorkCounters> counters(static_cast<std::size_t>(consumers));
   run_batched_pipeline<NodeBatch>(
-      config.ring_batches, consumers,
+      stream, plan, consumers,
       [&](NodeBatch& batch) {
-        return stream.fill_batch(batch, config.batch_nodes, config.batch_arcs);
+        return stream.fill_batch(batch, snapshots.cap(plan.batch_nodes),
+                                 plan.batch_arcs);
       },
       [&](const NodeBatch& batch, int thread_id) {
         WorkCounters local;
@@ -37,14 +44,11 @@ StreamResult run_one_pass_from_file(const std::string& path,
         }
         counters[static_cast<std::size_t>(thread_id)] += local;
       },
-      config.watchdog_ms);
+      [&](const NodeBatch& batch) { snapshots.at_boundary(batch.size()); });
   for (const WorkCounters& c : counters) {
     result.work += c;
   }
   telemetry::publish_work(result.work);
-  if (config.error_stats_out != nullptr) {
-    *config.error_stats_out = stream.error_stats();
-  }
 
   result.elapsed_s = timer.elapsed_s();
   result.assignment = assigner.take_assignment();

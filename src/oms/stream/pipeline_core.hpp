@@ -1,20 +1,28 @@
 /// \file pipeline_core.hpp
-/// \brief The producer/consumer ring shared by every pipelined disk stream:
-///        a reader thread fills recycled batch buffers, consumer threads
-///        drain them, errors from either side are rethrown on the caller.
+/// \brief The one disk-stream executor: run_batched_pipeline runs a stream's
+///        fill step and a consumer's consume step per a StreamPlan, either
+///        sequentially on the calling thread or as a producer/consumer ring.
 ///
-/// Extracted from the METIS node pipeline (PR 3) so the edge-list stream —
-/// and any future batch-shaped ingest — reuses the exact shutdown and error
-/// protocol instead of re-deriving it: two bounded queues close the loop,
-/// ring_batches bounds the parse-ahead (backpressure on both sides), and
-/// after warm-up no allocation happens on either path.
+/// Every file driver (one-pass, buffered, edge) is a fill callback, a
+/// consume callback and a batch-boundary hook handed to this function, so
+/// the error policy, stage spans, batch counters, fault sites and the
+/// shutdown protocol are written once for all of them.
 ///
-/// Failure hardening (PR 7): an optional watchdog bounds every queue wait so
-/// a dead peer thread surfaces as IoError instead of a hang; a consumer
-/// error aborts (close + discard) both queues so siblings and the producer
-/// stop at their next queue operation; and when the producer thread cannot
-/// be spawned at all the pipeline degrades to a sequential fill/consume loop
-/// on the calling thread — same results, no parallelism.
+///  * Sequential plan: fill and consume alternate on the calling thread over
+///    one reused batch; after each consumed batch the boundary hook runs
+///    (the checkpoint schedule lives there — no reader thread exists, so the
+///    stream position is exactly the batch end).
+///  * Pipelined plan: a reader thread fills recycled batch buffers, consumer
+///    threads drain them. Two bounded queues close the loop, ring_batches
+///    bounds the parse-ahead (backpressure on both sides), and after warm-up
+///    no allocation happens on either path. The boundary hook never runs.
+///
+/// Failure hardening: an optional watchdog bounds every queue wait so a dead
+/// peer thread surfaces as IoError instead of a hang; a consumer error
+/// aborts (close + discard) both queues so siblings and the producer stop at
+/// their next queue operation; and when the reader thread cannot be spawned
+/// at all, a pipelined plan degrades to the sequential loop — same results,
+/// no parallelism.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include "oms/stream/pipeline.hpp"
 #include "oms/telemetry/metrics.hpp"
 #include "oms/util/fault_injection.hpp"
 #include "oms/util/io_error.hpp"
@@ -32,36 +41,49 @@
 
 namespace oms {
 
-/// Run a batched producer/consumer pipeline to completion.
-///
-/// \param ring_batches batches circulating between producer and consumers.
-/// \param consumers    consumer thread count; the calling thread is consumer
-///                     0, so the pipeline costs exactly `consumers` extra
-///                     threads minus one plus the reader.
-/// \param fill         invoked on the producer thread: fill(batch) parses
-///                     the next chunk into \p batch and returns the element
-///                     count; 0 means the stream is exhausted.
-/// \param consume      invoked on consumer threads: consume(batch,
-///                     thread_id) processes one batch.
-/// \param watchdog_ms  bound on any single queue wait; 0 (default) disables.
-///                     A timeout means a peer thread died without closing
-///                     its queue and is reported as IoError.
-///
-/// An exception thrown by \p fill wakes the consumers (they drain what was
-/// parsed, then stop) and is rethrown here after all threads joined; an
-/// exception from \p consume stops the siblings and the producer the same
-/// way. Fill errors take precedence, matching "the parse failed first".
-template <typename Batch, typename Fill, typename Consume>
-void run_batched_pipeline(std::size_t ring_batches, int consumers, Fill&& fill,
-                          Consume&& consume, std::uint64_t watchdog_ms = 0) {
-  using BatchPtr = std::unique_ptr<Batch>;
-  BoundedQueue<BatchPtr> free_q(ring_batches);
-  BoundedQueue<BatchPtr> filled_q(ring_batches);
-  if (watchdog_ms != 0) {
-    free_q.set_watchdog(std::chrono::milliseconds(watchdog_ms));
-    filled_q.set_watchdog(std::chrono::milliseconds(watchdog_ms));
+namespace detail {
+
+/// The sequential plan, and the fallback of a pipelined one whose reader
+/// thread could not be spawned: fill, consume, hook, on the calling thread.
+template <typename Batch, typename Fill, typename Consume, typename AtBoundary>
+void run_batches_sequentially(Fill& fill, Consume& consume,
+                              AtBoundary& at_boundary) {
+  Batch batch;
+  while (true) {
+    fault_sleep(FaultSite::kFillDelay);
+    {
+      const telemetry::TraceSpan span(telemetry::Hist::kStageParse);
+      if (fill(batch) == 0) {
+        return;
+      }
+    }
+    if (fault_fires(FaultSite::kConsumeThrow)) {
+      throw IoError("injected consumer fault");
+    }
+    {
+      const telemetry::TraceSpan span(telemetry::Hist::kStageAssign);
+      consume(batch, 0);
+    }
+    telemetry::metric_add(telemetry::Counter::kPipelineBatches);
+    at_boundary(batch);
   }
-  for (std::size_t i = 0; i < ring_batches; ++i) {
+}
+
+template <typename Batch, typename Fill, typename Consume, typename AtBoundary>
+void run_batches(const StreamPlan& plan, int consumers, Fill& fill,
+                 Consume& consume, AtBoundary& at_boundary) {
+  if (!plan.pipelined) {
+    run_batches_sequentially<Batch>(fill, consume, at_boundary);
+    return;
+  }
+  using BatchPtr = std::unique_ptr<Batch>;
+  BoundedQueue<BatchPtr> free_q(plan.ring_batches);
+  BoundedQueue<BatchPtr> filled_q(plan.ring_batches);
+  if (plan.watchdog_ms != 0) {
+    free_q.set_watchdog(std::chrono::milliseconds(plan.watchdog_ms));
+    filled_q.set_watchdog(std::chrono::milliseconds(plan.watchdog_ms));
+  }
+  for (std::size_t i = 0; i < plan.ring_batches; ++i) {
     (void)free_q.push(std::make_unique<Batch>());
   }
 
@@ -124,24 +146,8 @@ void run_batched_pipeline(std::size_t ring_batches, int consumers, Fill&& fill,
     }
   }
   if (!producer.joinable()) {
-    Batch batch;
-    while (true) {
-      fault_sleep(FaultSite::kFillDelay);
-      {
-        const telemetry::TraceSpan span(telemetry::Hist::kStageParse);
-        if (fill(batch) == 0) {
-          return;
-        }
-      }
-      if (fault_fires(FaultSite::kConsumeThrow)) {
-        throw IoError("injected consumer fault");
-      }
-      {
-        const telemetry::TraceSpan span(telemetry::Hist::kStageAssign);
-        consume(batch, 0);
-      }
-      telemetry::metric_add(telemetry::Counter::kPipelineBatches);
-    }
+    run_batches_sequentially<Batch>(fill, consume, at_boundary);
+    return;
   }
 
   const auto consume_loop = [&](int thread_id) {
@@ -217,6 +223,40 @@ void run_batched_pipeline(std::size_t ring_batches, int consumers, Fill&& fill,
   }
   if (consume_error != nullptr) {
     std::rethrow_exception(consume_error);
+  }
+}
+
+} // namespace detail
+
+/// Run \p stream to exhaustion as \p plan says.
+///
+/// \param consumers   consumer threads of a pipelined plan; the calling
+///                    thread is consumer 0, so the pipeline costs exactly
+///                    `consumers` extra threads minus one plus the reader.
+///                    A sequential plan has one consumer (thread id 0).
+/// \param fill        fill(batch) parses the next chunk of \p stream into
+///                    \p batch and returns the element count; 0 means the
+///                    stream is exhausted. Runs on the reader thread of a
+///                    pipelined plan.
+/// \param consume     consume(batch, thread_id) processes one batch.
+/// \param at_boundary at_boundary(batch) runs after each consumed batch of
+///                    a sequential run, when the stream sits exactly at the
+///                    batch end (the checkpoint hook).
+///
+/// The plan's error policy is applied to \p stream first and its skip
+/// accounting copied to plan.error_stats_out at the end. An exception thrown
+/// by \p fill wakes the consumers (they drain what was parsed, then stop)
+/// and is rethrown here after all threads joined; an exception from
+/// \p consume stops the siblings and the producer the same way. Fill errors
+/// take precedence, matching "the parse failed first".
+template <typename Batch, typename Stream, typename Fill, typename Consume,
+          typename AtBoundary>
+void run_batched_pipeline(Stream& stream, const StreamPlan& plan, int consumers,
+                          Fill&& fill, Consume&& consume, AtBoundary&& at_boundary) {
+  stream.set_error_policy(plan.error_policy);
+  detail::run_batches<Batch>(plan, consumers, fill, consume, at_boundary);
+  if (plan.error_stats_out != nullptr) {
+    *plan.error_stats_out = stream.error_stats();
   }
 }
 

@@ -1,13 +1,10 @@
 /// \file metrics.cpp
 /// \brief MetricsRegistry storage, scrape/merge, and the stable
-///        "oms.metrics.v1" JSON serialization (writer + strict reader).
+///        "oms.metrics.v1" JSON serialization.
 
 #include "oms/telemetry/metrics.hpp"
 
-#include <cctype>
 #include <cstddef>
-
-#include "oms/util/io_error.hpp"
 
 namespace oms::telemetry {
 
@@ -249,200 +246,6 @@ std::string MetricsSnapshot::to_json() const {
   }
   out += "}}";
   return out;
-}
-
-// --- JSON reader -----------------------------------------------------------
-//
-// A strict recursive-descent parser for exactly the documents to_json()
-// emits (whitespace tolerated). Anything else — unknown keys, missing
-// metrics, wrong bucket counts, trailing garbage — is an IoError, so a
-// truncated or hand-mangled metrics file cannot round-trip silently.
-
-namespace {
-
-class JsonReader {
-public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
-
-  void expect(char c) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  [[nodiscard]] bool try_consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  [[nodiscard]] std::string string_value() {
-    expect('"');
-    std::string value;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      const char c = text_[pos_++];
-      if (c == '\\' || static_cast<unsigned char>(c) < 0x20) {
-        fail("unsupported escape in string");
-      }
-      value.push_back(c);
-    }
-    if (pos_ >= text_.size()) {
-      fail("unterminated string");
-    }
-    ++pos_;
-    return value;
-  }
-
-  [[nodiscard]] std::uint64_t u64_value() {
-    skip_ws();
-    if (pos_ >= text_.size() ||
-        std::isdigit(static_cast<unsigned char>(text_[pos_])) == 0) {
-      fail("expected integer");
-    }
-    std::uint64_t value = 0;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
-      const std::uint64_t digit =
-          static_cast<std::uint64_t>(text_[pos_] - '0');
-      if (value > (UINT64_MAX - digit) / 10) {
-        fail("integer overflow");
-      }
-      value = value * 10 + digit;
-      ++pos_;
-    }
-    return value;
-  }
-
-  void expect_end() {
-    skip_ws();
-    if (pos_ != text_.size()) {
-      fail("trailing bytes after document");
-    }
-  }
-
-  [[noreturn]] void fail(const std::string& what) {
-    throw IoError("metrics JSON: " + what + " at offset " +
-                  std::to_string(pos_));
-  }
-
-private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-/// Look up \p name in a metric name table; IoError on unknown names.
-template <std::size_t N>
-std::size_t name_index(JsonReader& reader, const std::string& name,
-                       const char* const (&table)[N]) {
-  for (std::size_t i = 0; i < N; ++i) {
-    if (name == table[i]) {
-      return i;
-    }
-  }
-  reader.fail("unknown metric name '" + name + "'");
-}
-
-/// Parse `{"name":<parse_value()>,...}`, dispatching each value by name.
-template <typename ParseValue>
-void parse_named_object(JsonReader& reader, ParseValue&& parse_value) {
-  reader.expect('{');
-  if (reader.try_consume('}')) {
-    return;
-  }
-  do {
-    const std::string name = reader.string_value();
-    reader.expect(':');
-    parse_value(name);
-  } while (reader.try_consume(','));
-  reader.expect('}');
-}
-
-} // namespace
-
-MetricsSnapshot MetricsSnapshot::from_json(const std::string& text) {
-  JsonReader reader(text);
-  MetricsSnapshot snap;
-
-  reader.expect('{');
-  if (reader.string_value() != "schema") {
-    reader.fail("expected \"schema\" first");
-  }
-  reader.expect(':');
-  if (const std::string schema = reader.string_value();
-      schema != "oms.metrics.v1") {
-    reader.fail("unsupported schema '" + schema + "'");
-  }
-
-  reader.expect(',');
-  if (reader.string_value() != "counters") {
-    reader.fail("expected \"counters\"");
-  }
-  reader.expect(':');
-  parse_named_object(reader, [&](const std::string& name) {
-    snap.counters[name_index(reader, name, kCounterNames)] =
-        reader.u64_value();
-  });
-
-  reader.expect(',');
-  if (reader.string_value() != "gauges") {
-    reader.fail("expected \"gauges\"");
-  }
-  reader.expect(':');
-  parse_named_object(reader, [&](const std::string& name) {
-    snap.gauges[name_index(reader, name, kGaugeNames)] = reader.u64_value();
-  });
-
-  reader.expect(',');
-  if (reader.string_value() != "histograms") {
-    reader.fail("expected \"histograms\"");
-  }
-  reader.expect(':');
-  parse_named_object(reader, [&](const std::string& name) {
-    HistogramSnapshot& hist =
-        snap.histograms[name_index(reader, name, kHistNames)];
-    reader.expect('{');
-    if (reader.string_value() != "count") {
-      reader.fail("expected \"count\"");
-    }
-    reader.expect(':');
-    hist.count = reader.u64_value();
-    reader.expect(',');
-    if (reader.string_value() != "sum") {
-      reader.fail("expected \"sum\"");
-    }
-    reader.expect(':');
-    hist.sum = reader.u64_value();
-    reader.expect(',');
-    if (reader.string_value() != "buckets") {
-      reader.fail("expected \"buckets\"");
-    }
-    reader.expect(':');
-    reader.expect('[');
-    for (int b = 0; b < kHistogramBuckets; ++b) {
-      if (b != 0) {
-        reader.expect(',');
-      }
-      hist.buckets[static_cast<std::size_t>(b)] = reader.u64_value();
-    }
-    reader.expect(']');
-    reader.expect('}');
-  });
-
-  reader.expect('}');
-  reader.expect_end();
-  return snap;
 }
 
 } // namespace oms::telemetry

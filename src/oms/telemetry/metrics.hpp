@@ -148,11 +148,6 @@ struct MetricsSnapshot {
   /// always present, enum order, so downstream parsers can pin offsets).
   [[nodiscard]] std::string to_json() const;
 
-  /// Parse a document produced by to_json(). Throws oms::IoError on
-  /// malformed JSON, an unknown schema id, unknown metric names, or a
-  /// histogram with the wrong bucket count.
-  [[nodiscard]] static MetricsSnapshot from_json(const std::string& text);
-
   bool operator==(const MetricsSnapshot&) const = default;
 };
 

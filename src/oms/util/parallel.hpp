@@ -118,7 +118,7 @@ void parallel_chunks(std::size_t n, int num_threads, std::size_t chunk_size,
 /// dead — a producer that crashed without closing, a consumer stuck in a
 /// syscall — the wait times out and throws IoError instead of deadlocking the
 /// process forever. Disabled (0) by default; the pipeline arms it from
-/// PipelineConfig.
+/// StreamPlan::watchdog_ms.
 template <typename T>
 class BoundedQueue {
 public:

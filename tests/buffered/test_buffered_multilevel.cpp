@@ -22,6 +22,13 @@ namespace {
 
 using testing::fnv1a;
 
+/// The default plan with a reader thread parsing ahead.
+const StreamPlan kPipelined = [] {
+  StreamPlan plan;
+  plan.pipelined = true;
+  return plan;
+}();
+
 class TempMetisFile {
 public:
   explicit TempMetisFile(const CsrGraph& graph, const std::string& tag) {
@@ -57,7 +64,7 @@ TEST(BufferedMultilevel, DiskMatchesInMemorySequentialAndPipelined) {
       const BufferedResult disk =
           buffered_partition_from_file(file.path(), 24, config);
       const BufferedResult pipelined =
-          buffered_partition_from_file(file.path(), 24, config, PipelineConfig{});
+          buffered_partition_from_file(file.path(), 24, config, kPipelined);
       EXPECT_EQ(memory.assignment, disk.assignment)
           << c.tag << " buffer=" << buffer;
       EXPECT_EQ(memory.assignment, pipelined.assignment)
@@ -126,7 +133,7 @@ TEST(BufferedMultilevel, HierarchyParityAcrossEntryPoints) {
   const BufferedResult disk =
       buffered_partition_from_file(file.path(), topo.num_pes(), config);
   const BufferedResult pipelined = buffered_partition_from_file(
-      file.path(), topo.num_pes(), config, PipelineConfig{});
+      file.path(), topo.num_pes(), config, kPipelined);
   EXPECT_EQ(memory.assignment, disk.assignment);
   EXPECT_EQ(memory.assignment, pipelined.assignment);
   verify_partition(g, memory.assignment, topo.num_pes());

@@ -22,6 +22,13 @@ namespace {
 
 using testing::fnv1a;
 
+/// The default plan with a reader thread parsing ahead.
+const StreamPlan kPipelined = [] {
+  StreamPlan plan;
+  plan.pipelined = true;
+  return plan;
+}();
+
 class TempMetisFile {
 public:
   explicit TempMetisFile(const CsrGraph& graph, const std::string& tag) {
@@ -56,7 +63,7 @@ TEST(BufferedStream, DiskMatchesInMemorySequentialAndPipelined) {
       const BufferedResult disk =
           buffered_partition_from_file(file.path(), 24, config);
       const BufferedResult pipelined =
-          buffered_partition_from_file(file.path(), 24, config, PipelineConfig{});
+          buffered_partition_from_file(file.path(), 24, config, kPipelined);
       EXPECT_EQ(memory.assignment, disk.assignment)
           << c.tag << " buffer=" << buffer;
       EXPECT_EQ(memory.assignment, pipelined.assignment)
@@ -74,7 +81,8 @@ TEST(BufferedStream, PipelinedParityAcrossRingDepths) {
   config.buffer_size = 256;
   const BufferedResult memory = buffered_partition(g, 16, config);
   for (const std::size_t ring : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    PipelineConfig pipeline;
+    StreamPlan pipeline;
+    pipeline.pipelined = true;
     pipeline.ring_batches = ring;
     const BufferedResult r =
         buffered_partition_from_file(file.path(), 16, config, pipeline);
@@ -128,7 +136,7 @@ TEST(BufferedStream, IoErrorMidBufferPropagates) {
   EXPECT_THROW((void)buffered_partition_from_file(file.path(), 4, config),
                IoError);
   EXPECT_THROW(
-      (void)buffered_partition_from_file(file.path(), 4, config, PipelineConfig{}),
+      (void)buffered_partition_from_file(file.path(), 4, config, kPipelined),
       IoError);
 }
 
@@ -138,7 +146,7 @@ TEST(BufferedStream, IoErrorOutOfRangeNeighbor) {
   EXPECT_THROW((void)buffered_partition_from_file(file.path(), 2, config),
                IoError);
   EXPECT_THROW(
-      (void)buffered_partition_from_file(file.path(), 2, config, PipelineConfig{}),
+      (void)buffered_partition_from_file(file.path(), 2, config, kPipelined),
       IoError);
 }
 
@@ -150,7 +158,7 @@ TEST(BufferedStream, RejectsNodeWeightedFiles) {
   EXPECT_THROW((void)buffered_partition_from_file(file.path(), 2, config),
                IoError);
   EXPECT_THROW(
-      (void)buffered_partition_from_file(file.path(), 2, config, PipelineConfig{}),
+      (void)buffered_partition_from_file(file.path(), 2, config, kPipelined),
       IoError);
 }
 

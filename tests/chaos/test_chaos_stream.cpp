@@ -69,7 +69,8 @@ protected:
   static std::vector<BlockId> one_pass_pipelined() {
     FennelPartitioner fennel(num_nodes_, num_edges_,
                              static_cast<NodeWeight>(num_nodes_), config());
-    PipelineConfig pipeline;
+    StreamPlan pipeline;
+    pipeline.pipelined = true;
     pipeline.watchdog_ms = 20000; // backstop: a hang must fail, not wedge CI
     return run_one_pass_from_file(*metis_path_, fennel, pipeline).assignment;
   }
@@ -89,7 +90,8 @@ protected:
   }
 
   static std::vector<BlockId> buffered_pipelined() {
-    PipelineConfig pipeline;
+    StreamPlan pipeline;
+    pipeline.pipelined = true;
     pipeline.watchdog_ms = 20000;
     return buffered_partition_from_file(*metis_path_, kK, buffered_config(),
                                         pipeline)
@@ -103,7 +105,8 @@ protected:
 
   static std::vector<BlockId> edge_pipelined() {
     HdrfPartitioner hdrf(edge_config());
-    PipelineConfig pipeline;
+    StreamPlan pipeline;
+    pipeline.pipelined = true;
     pipeline.watchdog_ms = 20000;
     return run_edge_partition_from_file(*edge_path_, hdrf, pipeline)
         .edge_assignment;

@@ -23,7 +23,7 @@
 #include "oms/partition/hashing.hpp"
 #include "oms/partition/ldg.hpp"
 #include "oms/stream/buffered_stream_driver.hpp"
-#include "oms/stream/metis_stream.hpp"
+#include "oms/stream/pipeline.hpp"
 #include "oms/stream/window_partitioner.hpp"
 #include "oms/util/fault_injection.hpp"
 #include "oms/util/io_error.hpp"
@@ -76,14 +76,23 @@ protected:
                                                 kK, config);
   }
 
+  /// A sequential plan snapshotting to \p path every \p every nodes,
+  /// stamped with \p algo and kSeed.
+  static StreamPlan snapshot_plan(const std::string& algo, const std::string& path,
+                                  std::uint64_t every) {
+    StreamPlan plan;
+    plan.checkpoint_path = path;
+    plan.checkpoint_every = every;
+    plan.checkpoint_algo = algo;
+    plan.checkpoint_seed = kSeed;
+    return plan;
+  }
+
   /// One sequential pass, optionally checkpointing and/or resuming.
   static std::vector<BlockId> run_algo(const std::string& algo,
-                                       const CheckpointConfig& ckpt = {},
-                                       const CheckpointState* resume = nullptr) {
+                                       const StreamPlan& plan = {}) {
     auto assigner = make_assigner(algo);
-    MetisNodeStream stream(*graph_path_);
-    return run_one_pass_resumable(stream, *assigner, algo, kSeed, ckpt, resume)
-        .assignment;
+    return run_one_pass_from_file(*graph_path_, *assigner, plan).assignment;
   }
 
   static std::string* graph_path_;
@@ -214,9 +223,7 @@ TEST_F(CheckpointTest, KilledRunResumesBitIdenticallyForEveryOnePassAlgo) {
     const std::vector<BlockId> golden = run_algo(algo);
 
     const std::string ckpt_path = temp_path((algo + "_kill.bin").c_str());
-    CheckpointConfig ckpt;
-    ckpt.path = ckpt_path;
-    ckpt.every_nodes = 400;
+    StreamPlan ckpt = snapshot_plan(algo, ckpt_path, 400);
 
     // Phase 1: die right after the second snapshot lands (kill -9 stand-in).
     FaultPlan::arm(FaultPlan::parse("checkpoint.die@2"));
@@ -229,7 +236,8 @@ TEST_F(CheckpointTest, KilledRunResumesBitIdenticallyForEveryOnePassAlgo) {
     EXPECT_EQ(state.meta.nodes_streamed, 800u) << algo;
     EXPECT_NO_THROW(
         validate_resume(state.meta, algo, kK, kSeed, num_nodes_));
-    const std::vector<BlockId> resumed = run_algo(algo, ckpt, &state);
+    ckpt.resume = &state;
+    const std::vector<BlockId> resumed = run_algo(algo, ckpt);
     EXPECT_EQ(resumed, golden) << algo << ": resumed run diverged";
     std::remove(ckpt_path.c_str());
   }
@@ -248,23 +256,21 @@ TEST_F(CheckpointTest, KilledBufferedRunResumesBitIdenticallyForBothEngines) {
         buffered_partition_from_file(*graph_path_, kK, config).assignment;
 
     const std::string ckpt_path = temp_path((algo + "_kill.bin").c_str());
-    CheckpointConfig ckpt;
-    ckpt.path = ckpt_path;
-    ckpt.every_nodes = 500; // lands on the first buffer boundary >= 500
+    // Lands on the first buffer boundary >= 500.
+    StreamPlan ckpt = snapshot_plan(algo, ckpt_path, 500);
 
     FaultPlan::arm(FaultPlan::parse("checkpoint.die@1"));
-    EXPECT_THROW((void)buffered_partition_from_file_resumable(
-                     *graph_path_, kK, config, ckpt, nullptr),
+    EXPECT_THROW((void)buffered_partition_from_file(*graph_path_, kK, config, ckpt),
                  IoError)
         << algo;
     FaultPlan::disarm();
 
     const CheckpointState state = read_checkpoint_file(ckpt_path);
+    EXPECT_EQ(state.meta.nodes_streamed, 600u) << algo;
     EXPECT_NO_THROW(validate_resume(state.meta, algo, kK, kSeed, num_nodes_));
+    ckpt.resume = &state;
     const std::vector<BlockId> resumed =
-        buffered_partition_from_file_resumable(*graph_path_, kK, config, ckpt,
-                                               &state)
-            .assignment;
+        buffered_partition_from_file(*graph_path_, kK, config, ckpt).assignment;
     EXPECT_EQ(resumed, golden) << algo << ": resumed run diverged";
     std::remove(ckpt_path.c_str());
   }
@@ -277,16 +283,15 @@ TEST_F(CheckpointTest, ResumeFromEverySnapshotMatchesGolden) {
   const std::vector<BlockId> golden = run_algo(algo);
   for (std::uint64_t die = 1; die <= 4; ++die) {
     const std::string ckpt_path = temp_path("sweep.bin");
-    CheckpointConfig ckpt;
-    ckpt.path = ckpt_path;
-    ckpt.every_nodes = 300;
+    StreamPlan ckpt = snapshot_plan(algo, ckpt_path, 300);
     FaultPlan::arm(
         FaultPlan::parse("checkpoint.die@" + std::to_string(die)));
     EXPECT_THROW((void)run_algo(algo, ckpt), IoError);
     FaultPlan::disarm();
     const CheckpointState state = read_checkpoint_file(ckpt_path);
     EXPECT_EQ(state.meta.nodes_streamed, die * 300) << "die " << die;
-    const std::vector<BlockId> resumed = run_algo(algo, ckpt, &state);
+    ckpt.resume = &state;
+    const std::vector<BlockId> resumed = run_algo(algo, ckpt);
     EXPECT_EQ(resumed, golden) << "resumed from snapshot " << die;
     std::remove(ckpt_path.c_str());
   }
@@ -300,42 +305,38 @@ TEST_F(CheckpointTest, PayloadAlgorithmMismatchSurfacesCleanly) {
   config.buffer_size = 200;
   config.seed = kSeed;
   const std::string ckpt_path = temp_path("mismatch.bin");
-  CheckpointConfig ckpt;
-  ckpt.path = ckpt_path;
-  ckpt.every_nodes = 500;
+  const StreamPlan ckpt =
+      snapshot_plan(buffered_checkpoint_algo_id(config), ckpt_path, 500);
   FaultPlan::arm(FaultPlan::parse("checkpoint.die@1"));
-  EXPECT_THROW((void)buffered_partition_from_file_resumable(*graph_path_, kK,
-                                                            config, ckpt,
-                                                            nullptr),
+  EXPECT_THROW((void)buffered_partition_from_file(*graph_path_, kK, config, ckpt),
                IoError);
   FaultPlan::disarm();
-  CheckpointState state = read_checkpoint_file(ckpt_path);
+  const CheckpointState state = read_checkpoint_file(ckpt_path);
   // Skip validate_resume on purpose (its algo check would already refuse) to
   // prove the payload layer alone cannot be tricked into silent corruption.
-  EXPECT_THROW((void)run_algo("fennel", CheckpointConfig{}, &state), IoError);
+  StreamPlan resume;
+  resume.resume = &state;
+  EXPECT_THROW((void)run_algo("fennel", resume), IoError);
   std::remove(ckpt_path.c_str());
 }
 
 TEST_F(CheckpointTest, WindowRefusesCheckpointingWithCleanError) {
   // WindowPartitioner keeps delayed in-flight nodes and does not serialize;
   // asking it to checkpoint must fail with IoError at the first snapshot.
-  CheckpointConfig ckpt;
-  ckpt.path = temp_path("window.bin");
-  ckpt.every_nodes = 100;
+  const StreamPlan ckpt = snapshot_plan("window", temp_path("window.bin"), 100);
   WindowConfig wc;
   wc.window_size = 32;
   wc.seed = kSeed;
   WindowPartitioner window(num_nodes_, static_cast<NodeWeight>(num_nodes_), wc,
                            kK);
-  MetisNodeStream stream(*graph_path_);
   try {
-    (void)run_one_pass_resumable(stream, window, "window", kSeed, ckpt, nullptr);
+    (void)run_one_pass_from_file(*graph_path_, window, ckpt);
     FAIL() << "window checkpointing did not fail";
   } catch (const IoError& e) {
     EXPECT_NE(std::string(e.what()).find("checkpoint"), std::string::npos)
         << e.what();
   }
-  std::remove(ckpt.path.c_str());
+  std::remove(ckpt.checkpoint_path.c_str());
 }
 
 } // namespace

@@ -173,18 +173,33 @@ awk 'BEGIN {
 }' > "$tmpdir/oneline.graph"
 check_clean_error "malformed line aborts by default" 1 \
   "$tool" "$tmpdir/oneline.graph" --k 2 --from-disk
-skip_out="$("$tool" "$tmpdir/oneline.graph" --k 2 --from-disk --on-error skip 2>&1)"
-if [ $? -ne 0 ]; then
-  echo "FAIL [skip policy completes]: non-zero exit"
-  echo "$skip_out" | sed 's/^/    /'
-  failures=$((failures + 1))
-elif ! printf '%s' "$skip_out" | grep -q "skipped 1 malformed line"; then
-  echo "FAIL [skip policy completes]: missing skip summary"
-  echo "$skip_out" | sed 's/^/    /'
-  failures=$((failures + 1))
-else
-  echo "ok   [skip policy completes]"
-fi
+# check_skip NAME ARGS...: the skip run exits 0, reports the one skipped line
+# and writes a block in [0, 2) for each of the 200 nodes.
+check_skip() {
+  local name="$1"
+  shift
+  local part="$tmpdir/skip_part.txt"
+  rm -f "$part"
+  local out
+  out="$("$tool" "$tmpdir/oneline.graph" --k 2 --on-error skip --output "$part" "$@" 2>&1)"
+  if [ $? -ne 0 ]; then
+    echo "FAIL [$name]: non-zero exit"
+    echo "$out" | sed 's/^/    /'
+    failures=$((failures + 1))
+  elif ! printf '%s' "$out" | grep -q "skipped 1 malformed line"; then
+    echo "FAIL [$name]: missing skip summary"
+    echo "$out" | sed 's/^/    /'
+    failures=$((failures + 1))
+  elif [ "$(grep -cx '[01]' "$part")" -ne 200 ] || [ "$(wc -l < "$part")" -ne 200 ]; then
+    echo "FAIL [$name]: not every node was assigned a block in [0, 2)"
+    failures=$((failures + 1))
+  else
+    echo "ok   [$name]"
+  fi
+}
+check_skip "skip policy completes" --from-disk
+check_skip "skip policy completes (buffered)" --algo buffered --from-disk
+check_skip "skip policy completes (buffered, pipelined)" --algo buffered --pipeline
 
 # An exhausted skip budget turns back into a clean failure.
 check_clean_error "skip budget exhausts" 1 \

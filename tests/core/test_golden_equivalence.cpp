@@ -165,7 +165,8 @@ TEST(GoldenEquivalence, FlatHashing) {
       ::testing::TempDir() + "/oms_golden_pipeline_" + std::to_string(batch_nodes) +
       ".graph";
   write_metis(g, path);
-  PipelineConfig config;
+  StreamPlan config;
+  config.pipelined = true;
   config.assign_threads = 1;
   config.batch_nodes = batch_nodes;
   const std::uint64_t h = fnv1a(run_one_pass_from_file(path, a, config).assignment);

@@ -42,7 +42,8 @@ TEST(EdgePartPipeline, BitIdenticalToSequentialAcrossGeometries) {
   };
   for (const Geometry geo : {Geometry{1, 1}, Geometry{7, 2}, Geometry{1024, 4},
                              Geometry{1u << 20, 3}}) {
-    PipelineConfig pipeline;
+    StreamPlan pipeline;
+    pipeline.pipelined = true;
     pipeline.batch_nodes = geo.batch_edges;
     pipeline.ring_batches = geo.ring;
     HdrfPartitioner partitioner(config);
@@ -65,7 +66,8 @@ TEST(EdgePartPipeline, HierarchicalPartitionerPipelinesIdentically) {
   HierarchicalHdrfPartitioner sequential(topo, config);
   const auto expected = run_edge_partition_from_file(path, sequential);
 
-  PipelineConfig pipeline;
+  StreamPlan pipeline;
+  pipeline.pipelined = true;
   pipeline.batch_nodes = 256;
   HierarchicalHdrfPartitioner pipelined(topo, config);
   const auto result = run_edge_partition_from_file(path, pipelined, pipeline);
@@ -114,7 +116,8 @@ TEST(EdgePartPipeline, IoErrorFromProducerSurfacesWithoutDeadlock) {
   EdgePartConfig config;
   config.k = 4;
   for (const std::size_t batch : {std::size_t{16}, std::size_t{4096}}) {
-    PipelineConfig pipeline;
+    StreamPlan pipeline;
+    pipeline.pipelined = true;
     pipeline.batch_nodes = batch;
     HdrfPartitioner partitioner(config);
     EXPECT_THROW(
@@ -133,7 +136,8 @@ TEST(EdgePartPipeline, EmptyStreamRaisesThroughThePipeline) {
 
   EdgePartConfig config;
   config.k = 4;
-  PipelineConfig pipeline;
+  StreamPlan pipeline;
+  pipeline.pipelined = true;
   HdrfPartitioner partitioner(config);
   EXPECT_THROW(
       { (void)run_edge_partition_from_file(path, partitioner, pipeline); },

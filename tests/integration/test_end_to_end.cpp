@@ -12,6 +12,7 @@
 #include "oms/partition/fennel.hpp"
 #include "oms/partition/metrics.hpp"
 #include "oms/stream/metis_stream.hpp"
+#include "oms/stream/pipeline.hpp"
 
 namespace oms {
 namespace {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -77,7 +78,8 @@ private:
 
 /// Run one request through every node-stream route the facade dispatches —
 /// in-memory overload, path-based in-memory, --from-disk sequential,
-/// --pipeline — and require one identical assignment from all four.
+/// --pipeline and (except for window, which cannot checkpoint) --from-disk
+/// with snapshots — and require one identical assignment from all of them.
 [[nodiscard]] std::uint64_t all_routes_hash(const CsrGraph& graph,
                                             PartitionRequest req,
                                             const std::string& tag) {
@@ -97,6 +99,22 @@ private:
   req.pipeline = true;
   EXPECT_EQ(partitioner.partition(req).assignment, in_memory.assignment)
       << tag << ": pipelined route diverged";
+
+  if (req.algo != "window") {
+    req.pipeline = false;
+    req.checkpoint = ::testing::TempDir() + "/oms_facade_" + tag + ".ckpt";
+    req.checkpoint_every = std::max<std::uint64_t>(1, graph.num_nodes() / 4);
+    EXPECT_EQ(partitioner.partition(req).assignment, in_memory.assignment)
+        << tag << ": checkpointing route diverged";
+    // The cadence fired several times, and the last snapshot names this run.
+    const CheckpointState state = read_checkpoint_file(req.checkpoint);
+    EXPECT_GE(state.meta.nodes_streamed, 3 * req.checkpoint_every) << tag;
+    EXPECT_NO_THROW(validate_resume(state.meta, in_memory.algo,
+                                    static_cast<std::uint64_t>(req.k), req.seed,
+                                    graph.num_nodes()))
+        << tag;
+    std::remove(req.checkpoint.c_str());
+  }
 
   return fnv1a(in_memory.assignment);
 }
@@ -138,6 +156,17 @@ TEST(FacadeGolden, BufferedLpDefaults) {
   PartitionRequest req = request_for("buffered", 24);
   EXPECT_EQ(all_routes_hash(ba, req, "buffered24"), 0xcc49cbb6a1fc4da2ULL);
   EXPECT_EQ(Partitioner().partition(ba, req).algo, "buffered:lp");
+}
+
+TEST(FacadeGolden, BufferedMultilevel) {
+  // Small buffers at k = 64: an instance where the V-cycle beats the lp
+  // refinement, so the fingerprint differs from the lp engine's.
+  const CsrGraph ba = gen::barabasi_albert(5000, 5, 11);
+  PartitionRequest req = request_for("buffered", 64);
+  req.buffered_engine = "multilevel";
+  req.buffer_size = 1024;
+  EXPECT_EQ(all_routes_hash(ba, req, "bufferedml64"), 0xdc0b24a0bd281655ULL);
+  EXPECT_EQ(Partitioner().partition(ba, req).algo, "buffered:multilevel");
 }
 
 TEST(FacadeGolden, OmsMappingOnWeightedGraph) {
@@ -215,8 +244,8 @@ TEST(FacadeParity, EdgePartitionMatchesDriver) {
   config.epsilon = req.epsilon;
   config.seed = req.seed;
   HdrfPartitioner direct(config);
-  const EdgePartitionResult reference = run_edge_partition_from_file(
-      file.path(), direct, StreamErrorPolicy{}, nullptr);
+  const EdgePartitionResult reference =
+      run_edge_partition_from_file(file.path(), direct);
 
   const PartitionArtifact artifact = Partitioner().partition(req);
   EXPECT_TRUE(artifact.edge_partition);
@@ -229,6 +258,39 @@ TEST(FacadeParity, EdgePartitionMatchesDriver) {
   // where() on an edge-partition artifact answers per *edge index*.
   EXPECT_EQ(artifact.where(0), reference.edge_assignment[0]);
   EXPECT_EQ(artifact.where(artifact.assignment.size()), kInvalidBlock);
+}
+
+TEST(FacadeStream, BufferedSkipsMalformedLineOnEveryPlan) {
+  // A 200-node ring whose node 100 is garbage: under --on-error skip it
+  // becomes an isolated node and the run still assigns every node.
+  std::string text = "200 200\n";
+  for (int i = 1; i <= 200; ++i) {
+    if (i == 100) {
+      text += "xyz\n";
+      continue;
+    }
+    text += std::to_string(i == 1 ? 200 : i - 1) + " " +
+            std::to_string(i == 200 ? 1 : i + 1) + "\n";
+  }
+  const TempFile file(text, "oneline", ".graph");
+  PartitionRequest req = request_for("buffered", 2);
+  req.graph_path = file.path();
+  req.on_error = "skip";
+  for (const bool pipeline : {false, true}) {
+    req.from_disk = true;
+    req.pipeline = pipeline;
+    const PartitionArtifact artifact = Partitioner().partition(req);
+    EXPECT_EQ(artifact.skip_stats.lines_skipped, 1u) << pipeline;
+    EXPECT_EQ(artifact.skip_stats.first_line, 101u) << pipeline;
+    ASSERT_EQ(artifact.assignment.size(), 200u) << pipeline;
+    for (const BlockId b : artifact.assignment) {
+      EXPECT_LT(b, 2) << pipeline;
+    }
+  }
+  // The policy acts on a stream, so an in-memory run still rejects it.
+  req.from_disk = false;
+  req.pipeline = false;
+  EXPECT_THROW((void)Partitioner::normalize(req), InvalidRequest);
 }
 
 // ---------------------------------------------------------------------------

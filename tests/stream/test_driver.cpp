@@ -13,6 +13,7 @@
 #include "oms/graph/io.hpp"
 #include "oms/stream/block_weights.hpp"
 #include "oms/stream/metis_stream.hpp"
+#include "oms/stream/pipeline.hpp"
 #include "tests/test_support.hpp"
 
 namespace oms {

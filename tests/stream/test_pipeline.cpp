@@ -28,6 +28,13 @@
 namespace oms {
 namespace {
 
+/// The default plan with a reader thread parsing ahead.
+const StreamPlan kPipelined = [] {
+  StreamPlan plan;
+  plan.pipelined = true;
+  return plan;
+}();
+
 std::string temp_path(const char* name) {
   return ::testing::TempDir() + "/" + name;
 }
@@ -87,7 +94,8 @@ TEST(Pipeline, SingleConsumerMatchesSequentialAcrossGeometries) {
                  " arcs=" + std::to_string(geo.batch_arcs) +
                  " ring=" + std::to_string(geo.ring) +
                  " buffer=" + std::to_string(geo.buffer));
-    PipelineConfig config;
+    StreamPlan config;
+    config.pipelined = true;
     config.assign_threads = 1;
     config.batch_nodes = geo.batch_nodes;
     config.batch_arcs = geo.batch_arcs;
@@ -111,7 +119,8 @@ TEST(Pipeline, SingleConsumerMatchesSequentialOnWeightedOms) {
                                 BlockId{24}, oc);
   const StreamResult expected = run_one_pass_from_file(path, sequential);
 
-  PipelineConfig config;
+  StreamPlan config;
+  config.pipelined = true;
   config.batch_nodes = 37; // misaligned with n on purpose
   OnlineMultisection pipelined(g.num_nodes(), g.num_edges(), g.total_node_weight(),
                                BlockId{24}, oc);
@@ -139,7 +148,8 @@ TEST(Pipeline, CommentsIsolatedNodesAndMissingTrailingLines) {
   auto sequential = assigner();
   const StreamResult expected = run_one_pass_from_file(path, *sequential);
   for (const std::size_t batch : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    PipelineConfig config;
+    StreamPlan config;
+    config.pipelined = true;
     config.batch_nodes = batch;
     config.ring_batches = 1;
     auto pipelined = assigner();
@@ -163,7 +173,8 @@ TEST(Pipeline, MultiConsumerIsCoveredAndBalanced) {
     OmsConfig config;
     OnlineMultisection oms(g.num_nodes(), g.num_edges(), g.total_node_weight(), k,
                            config);
-    PipelineConfig pipeline;
+    StreamPlan pipeline;
+    pipeline.pipelined = true;
     pipeline.assign_threads = threads;
     pipeline.batch_nodes = 1024;
     const StreamResult r = run_one_pass_from_file(path, oms, pipeline);
@@ -201,7 +212,8 @@ TEST(Pipeline, IoErrorMidStreamSurfacesOnCaller) {
   PartitionConfig pc;
   pc.k = 2;
   FennelPartitioner fennel(n, 0, n, pc);
-  PipelineConfig config;
+  StreamPlan config;
+  config.pipelined = true;
   config.batch_nodes = 8;
   config.ring_batches = 1;
   EXPECT_THROW((void)run_one_pass_from_file(path, fennel, config), IoError);
@@ -214,7 +226,7 @@ TEST(Pipeline, IoErrorInHeaderSurfacesBeforeThreadsSpawn) {
   PartitionConfig pc;
   pc.k = 2;
   FennelPartitioner fennel(4, 0, 4, pc);
-  EXPECT_THROW((void)run_one_pass_from_file(path, fennel, PipelineConfig{}), IoError);
+  EXPECT_THROW((void)run_one_pass_from_file(path, fennel, kPipelined), IoError);
   std::remove(path.c_str());
 }
 
@@ -243,7 +255,8 @@ TEST(Pipeline, ConsumerExceptionUnblocksProducer) {
   const std::string path = temp_path("oms_pipeline_consumerfail.graph");
   write_metis(g, path);
   ThrowingAssigner assigner(64);
-  PipelineConfig config;
+  StreamPlan config;
+  config.pipelined = true;
   config.batch_nodes = 16;
   config.ring_batches = 1; // maximal backpressure on the producer
   EXPECT_THROW((void)run_one_pass_from_file(path, assigner, config),
@@ -318,7 +331,7 @@ TEST(Pipeline, EmptyGraphRunsClean) {
   write_text(path, "0 0\n");
   ThrowingAssigner never_assigns(0); // would throw on any node: none arrive
   const StreamResult r =
-      run_one_pass_from_file(path, never_assigns, PipelineConfig{});
+      run_one_pass_from_file(path, never_assigns, kPipelined);
   EXPECT_TRUE(r.assignment.empty());
   std::remove(path.c_str());
 }

@@ -94,7 +94,8 @@ TEST(Window, DiskMatchesInMemory) {
     EXPECT_EQ(memory.assignment, disk.assignment) << "w=" << window_size;
 
     WindowPartitioner pipelined(g.num_nodes(), g.total_node_weight(), config, k);
-    PipelineConfig pipeline; // 1 consumer: stream order preserved exactly
+    StreamPlan pipeline; // 1 consumer: stream order preserved exactly
+    pipeline.pipelined = true;
     pipeline.batch_nodes = 256;
     const StreamResult piped = run_one_pass_from_file(path, pipelined, pipeline);
     EXPECT_EQ(memory.assignment, piped.assignment)
