@@ -135,6 +135,25 @@ void BM_StreamOmsMapping(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamOmsMapping)->Arg(4)->Arg(64);
 
+/// The whole in-memory facade route of a sequential process mapping:
+/// assignment plus the edge cut and J the artifact reports.
+void BM_StreamFacadeOmsMapping(benchmark::State& state) {
+  const CsrGraph& graph = shared_graph();
+  PartitionRequest request;
+  request.algo = "oms";
+  request.hierarchy = "4:16:4";
+  request.distances = "1:10:100";
+  request.threads = 1;
+  const Partitioner partitioner;
+  for (auto _ : state) {
+    const PartitionArtifact artifact = partitioner.partition(graph, request);
+    benchmark::DoNotOptimize(artifact.metrics.mapping_j);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(graph.num_nodes()));
+}
+BENCHMARK(BM_StreamFacadeOmsMapping);
+
 void BM_MetisStreamRead(benchmark::State& state) {
   // Disk ingest throughput: parse the shared graph's METIS file node by node
   // (the buffered raw-read + in-place from_chars path). PID-unique path so

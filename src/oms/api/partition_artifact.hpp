@@ -28,7 +28,9 @@ namespace oms {
 
 /// Quality metrics of the run. Streaming entry points never materialize the
 /// graph, so graph-dependent metrics are only available from the in-memory
-/// path; -1 marks "not computed".
+/// path; -1 marks "not computed". There, a sequential OMS run reports the
+/// edge cut and J its descent counted (OnePassAssigner::stream_quality);
+/// every other run gets them from the offline edge_cut / mapping_cost scans.
 struct ArtifactMetrics {
   double edge_cut = -1.0;           ///< node partitions, in-memory runs
   double imbalance = -1.0;          ///< node partitions, in-memory runs

@@ -60,7 +60,10 @@ struct PartitionRequest {
   std::uint64_t seed = 1;
 
   // --- per-model tuning --------------------------------------------------
-  int threads = 1;          ///< in-memory parallel one-pass / metric threads
+  /// In-memory parallel one-pass and metric threads. With 1, OMS counts the
+  /// edge cut and J during its descent; otherwise they come from an offline
+  /// scan on this many threads.
+  int threads = 1;
   long buffer_size = 4096;  ///< buffered model: nodes per buffer
   long refine_iters = 3;    ///< buffered model: refinement budget multiplier
   std::optional<std::string> buffered_engine; ///< lp | multilevel

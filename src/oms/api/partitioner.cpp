@@ -271,7 +271,8 @@ void validate_tuning(const PartitionRequest& req) {
 
 /// The in-memory node route, shared by partition(request) on a loaded METIS
 /// file and the partition(graph, request) overload. Also the only route that
-/// can afford graph-dependent quality metrics.
+/// reports graph-dependent quality metrics: the sequential OMS descent counts
+/// edge cut and J as it goes; every other run gets them from an offline scan.
 [[nodiscard]] PartitionArtifact partition_in_memory(
     const CsrGraph& graph, const PartitionRequest& req,
     std::optional<SystemHierarchy> topo) {
@@ -280,6 +281,7 @@ void validate_tuning(const PartitionRequest& req) {
   artifact.num_edges = graph.num_edges();
   telemetry::gauge_set(telemetry::Gauge::kProgressTotalItems, graph.num_nodes());
 
+  std::optional<StreamQuality> quality;
   if (req.algo == "buffered") {
     const BufferedConfig bc = buffered_config(req, artifact.hierarchy);
     artifact.algo = buffered_checkpoint_algo_id(bc);
@@ -295,14 +297,18 @@ void validate_tuning(const PartitionRequest& req) {
     artifact.assignment = std::move(result.assignment);
     artifact.elapsed_s = result.elapsed_s;
     artifact.work = result.work;
+    quality = result.quality;
   }
 
-  artifact.metrics.edge_cut =
-      static_cast<double>(edge_cut(graph, artifact.assignment));
+  artifact.metrics.edge_cut = static_cast<double>(
+      quality.has_value() ? quality->edge_cut : edge_cut(graph, artifact.assignment));
   artifact.metrics.imbalance = imbalance(graph, artifact.assignment, req.k);
   if (artifact.hierarchy.has_value()) {
-    artifact.metrics.mapping_j = static_cast<double>(mapping_cost(
-        graph, *artifact.hierarchy, artifact.assignment, req.threads));
+    artifact.metrics.mapping_j = static_cast<double>(
+        quality.has_value()
+            ? quality->mapping_j
+            : mapping_cost(graph, *artifact.hierarchy, artifact.assignment,
+                           req.threads));
   }
   artifact.rebuild_tree();
   return artifact;

@@ -19,6 +19,7 @@ std::vector<BlockId> OnlineMultisection::run_offline_multipass(const CsrGraph& g
   weights_.reset();
   assignment_.fill(kInvalidBlock);
   prepare(1);
+  quality_exact_ = false; // these passes bypass the descent's accounting
   auto& gathered = scratch_.front().gathered;
   WorkCounters counters;
 

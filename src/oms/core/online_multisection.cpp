@@ -33,7 +33,15 @@ OnlineMultisection::OnlineMultisection(NodeId num_nodes, EdgeIndex num_edges,
                                        const OmsConfig& config)
     : OnlineMultisection(
           num_nodes, num_edges, total_node_weight,
-          MultisectionTree::regular(topology.extents_top_down()), config) {}
+          MultisectionTree::regular(topology.extents_top_down()), config) {
+  // Depth d splits the hierarchy's level l - d (top-down), so an edge parting
+  // there joins PEs that first meet in a level-(l - d) module.
+  const std::vector<std::int64_t>& distances = topology.distances();
+  for (std::size_t depth = 0; depth < depth_distance_.size(); ++depth) {
+    depth_distance_[depth] = distances[distances.size() - 1 - depth];
+  }
+  maps_topology_ = true;
+}
 
 OnlineMultisection::OnlineMultisection(NodeId num_nodes, EdgeIndex num_edges,
                                        NodeWeight total_node_weight, BlockId k,
@@ -49,7 +57,8 @@ OnlineMultisection::OnlineMultisection(NodeId num_nodes, EdgeIndex num_edges,
       config_(config),
       assignment_(num_nodes),
       weights_(tree_.num_blocks()),
-      sqrt_(tree_.root().capacity) {
+      sqrt_(tree_.root().capacity),
+      depth_distance_(static_cast<std::size_t>(tree_.height()), 0) {
   for (std::size_t id = 0; id < tree_.num_blocks(); ++id) {
     max_children_ = std::max(max_children_, tree_.block(id).num_children);
   }
@@ -66,6 +75,16 @@ void OnlineMultisection::prepare(int num_threads) {
     s.gathered.assign(static_cast<std::size_t>(max_children_), 0);
     s.touched_children.assign(static_cast<std::size_t>(max_children_), 0);
   }
+  quality_exact_ = num_threads == 1;
+  quality_cut_ = 0;
+  quality_half_j_ = 0;
+}
+
+std::optional<StreamQuality> OnlineMultisection::stream_quality() const {
+  if (!quality_exact_ || config_.quality_layers < tree_.height()) {
+    return std::nullopt;
+  }
+  return StreamQuality{quality_cut_, maps_topology_ ? 2 * quality_half_j_ : -1};
 }
 
 BlockId OnlineMultisection::assign(const StreamedNode& node, int thread_id,
@@ -90,6 +109,14 @@ BlockId OnlineMultisection::assign_impl(WeightsView weights, const StreamedNode&
   // place as each layer narrows the subtree.
   std::size_t frontier = 0;
   bool frontier_built = false;
+
+  // Quality accounting rides on the frontier: at each quality layer, the
+  // frontier weight outside the chosen child is the weight of the edges to
+  // earlier nodes that part at this depth. Every undirected edge is thus
+  // counted once, at its later endpoint. Only the sequential (dense)
+  // instantiation counts, so concurrent passes share no accumulator.
+  constexpr bool kCountQuality = WeightsView::kLayout == BlockWeights::Layout::kDense;
+  EdgeWeight frontier_weight = 0;
 
   std::size_t current = 0; // root
   while (!tree_.block(current).is_leaf()) {
@@ -125,6 +152,9 @@ BlockId OnlineMultisection::assign_impl(WeightsView weights, const StreamedNode&
           scratch.leaves[frontier] = leaf;
           scratch.edge_weights[frontier] = w;
           ++frontier;
+          if constexpr (kCountQuality) {
+            frontier_weight += w;
+          }
         }
       } else {
         counters.neighbor_visits += frontier;
@@ -151,6 +181,16 @@ BlockId OnlineMultisection::assign_impl(WeightsView weights, const StreamedNode&
     const auto child_id = static_cast<std::size_t>(parent.first_child + choice);
     weights.add(child_id, node.weight);
     counters.layers_traversed += 1;
+    if constexpr (kCountQuality) {
+      if (scorer != ScorerKind::kHashing) {
+        const EdgeWeight inside = gathered[static_cast<std::size_t>(choice)];
+        const EdgeWeight parting = frontier_weight - inside;
+        quality_cut_ += parting;
+        quality_half_j_ +=
+            parting * depth_distance_[static_cast<std::size_t>(parent.depth)];
+        frontier_weight = inside;
+      }
+    }
     current = child_id;
   }
 
@@ -275,6 +315,7 @@ void OnlineMultisection::unassign(NodeId u, NodeWeight weight) {
     id = static_cast<std::size_t>(tree_.block(id).parent);
   }
   assignment_.store(u, kInvalidBlock);
+  quality_exact_ = false; // the count still holds the node's old edges
 }
 
 std::uint64_t OnlineMultisection::state_bytes() const noexcept {
@@ -292,6 +333,7 @@ bool OnlineMultisection::save_stream_state(CheckpointWriter& w) const {
 bool OnlineMultisection::load_stream_state(CheckpointReader& r) {
   load_assignment(r, assignment_);
   load_block_weights(r, weights_);
+  quality_exact_ = false; // edges among the restored nodes were never counted
   return true;
 }
 

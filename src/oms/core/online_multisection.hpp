@@ -15,6 +15,7 @@
 ///    time O((m + n b) log_b k) (Theorem 4) instead of Fennel's O(m + n k).
 #pragma once
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -53,6 +54,11 @@ public:
   [[nodiscard]] std::vector<BlockId> take_assignment() override {
     return assignment_.take();
   }
+  /// The edge cut and J counted by the descent (see assign_impl). Exact, and
+  /// so returned, only for a pass prepared with one thread whose every layer
+  /// is a quality layer, with no unassign() or load_stream_state() since
+  /// prepare(). mapping_j is -1 in nh-OMS mode.
+  [[nodiscard]] std::optional<StreamQuality> stream_quality() const override;
 
   // --- introspection ----------------------------------------------------
   [[nodiscard]] const MultisectionTree& tree() const noexcept { return tree_; }
@@ -128,6 +134,15 @@ private:
   SqrtCache sqrt_; // covers [0, root capacity]: every Fennel penalty argument
   std::vector<DescentScratch> scratch_; // per thread
   std::int32_t max_children_ = 0;
+
+  // Streaming quality accounting, sequential passes only. An edge parting at
+  // descent depth d costs depth_distance_[d]: the distance of the hierarchy
+  // level that layer splits (OMS), or 0 (nh-OMS, which has no topology).
+  std::vector<Cost> depth_distance_;
+  bool maps_topology_ = false;
+  bool quality_exact_ = false;
+  Cost quality_cut_ = 0;
+  Cost quality_half_j_ = 0; // J over unordered pairs
 };
 
 } // namespace oms

@@ -9,6 +9,7 @@
 /// smallest level whose module contains both.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -49,20 +50,14 @@ public:
   }
 
   /// Communication distance between PEs x and y (0 if x == y, else d_j for
-  /// the smallest level j whose module contains both). O(l).
+  /// the smallest level j whose module contains both). O(1) and free of
+  /// divisions: the highest bit in which the two packed keys differ lies in
+  /// the digit of the outermost level at which x and y part.
   [[nodiscard]] std::int64_t distance(BlockId x, BlockId y) const noexcept {
     OMS_HEAVY_ASSERT(x >= 0 && x < num_pes_ && y >= 0 && y < num_pes_);
-    if (x == y) {
-      return 0;
-    }
-    for (std::size_t level = 1; level <= extents_.size(); ++level) {
-      if (x / prefix_products_[level] == y / prefix_products_[level]) {
-        return distances_[level - 1];
-      }
-    }
-    // Distinct PEs always share the root module, so this is unreachable for
-    // valid inputs; keep the top distance as a safe answer.
-    return distances_.back();
+    const std::uint64_t diff = keys_[static_cast<std::size_t>(x)] ^
+                               keys_[static_cast<std::size_t>(y)];
+    return distance_by_width_[static_cast<std::size_t>(std::bit_width(diff))];
   }
 
   /// Extents outermost-first (al, ..., a1): the order in which the online
@@ -76,6 +71,14 @@ private:
   std::vector<std::int64_t> extents_;         // a1..al (innermost first)
   std::vector<std::int64_t> distances_;       // d1..dl
   std::vector<std::int64_t> prefix_products_; // size l+1; [i] = a1*...*ai
+  /// Per PE, its mixed-radix digits packed into one word: digit j (level
+  /// j+1) takes bit_width(a_j - 1) bits, innermost digit lowest. At most 60
+  /// bits in total, since every extent >= 2 contributes at most 2 log2(a_j)
+  /// bits and k <= 2^30.
+  std::vector<std::uint64_t> keys_;
+  /// Indexed by bit_width(key[x] ^ key[y]): [0] = 0 (same PE), otherwise the
+  /// distance of the level owning the highest differing bit.
+  std::vector<std::int64_t> distance_by_width_;
   BlockId num_pes_ = 0;
 };
 

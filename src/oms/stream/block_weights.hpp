@@ -47,6 +47,8 @@ public:
   template <Layout L>
   class View {
   public:
+    static constexpr Layout kLayout = L;
+
     explicit View(std::atomic<NodeWeight>* base) noexcept : base_(base) {}
 
     [[nodiscard]] NodeWeight load(std::size_t block) const noexcept {

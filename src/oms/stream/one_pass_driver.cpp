@@ -24,6 +24,7 @@ StreamResult run_one_pass(const CsrGraph& graph, OnePassAssigner& assigner,
       assigner.assign(node, 0, counters);
     }
     result.work = counters;
+    result.quality = assigner.stream_quality();
   } else {
     std::mutex merge_mutex;
     parallel_chunks(graph.num_nodes(), threads, chunk_size,

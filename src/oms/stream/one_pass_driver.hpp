@@ -8,6 +8,7 @@
 /// nodes; all shared state they keep must be atomic (see BlockWeights).
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "oms/graph/csr_graph.hpp"
@@ -19,6 +20,13 @@ namespace oms {
 
 class CheckpointWriter;
 class CheckpointReader;
+
+/// Edge cut and mapping objective J of a pass, as counted while streaming.
+/// Both equal the offline edge_cut() / mapping_cost() of the assignment.
+struct StreamQuality {
+  Cost edge_cut = 0;
+  Cost mapping_j = -1; ///< -1 when the assigner maps onto no topology
+};
 
 /// Interface implemented by Hashing, LDG, Fennel and the online recursive
 /// multi-section. One instance handles one pass over one graph.
@@ -56,6 +64,13 @@ public:
   [[nodiscard]] virtual bool load_stream_state(CheckpointReader& /*reader*/) {
     return false;
   }
+
+  /// Quality of the pass so far, counted during the descent instead of by a
+  /// second scan of the graph. Only assigners that can count it exactly for
+  /// the pass since prepare() return a value; the default returns none.
+  [[nodiscard]] virtual std::optional<StreamQuality> stream_quality() const {
+    return std::nullopt;
+  }
 };
 
 /// Result of a streaming pass.
@@ -63,6 +78,8 @@ struct StreamResult {
   std::vector<BlockId> assignment;
   double elapsed_s = 0.0;
   WorkCounters work;
+  /// The assigner's stream_quality() of a sequential pass; none otherwise.
+  std::optional<StreamQuality> quality;
 };
 
 /// Stream \p graph in node-id order through \p assigner.

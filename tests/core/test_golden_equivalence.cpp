@@ -20,7 +20,6 @@
 #include <string>
 
 #include "oms/graph/generators.hpp"
-#include "oms/graph/graph_builder.hpp"
 #include "oms/graph/io.hpp"
 #include "oms/partition/fennel.hpp"
 #include "oms/partition/hashing.hpp"
@@ -28,33 +27,13 @@
 #include "oms/partition/metrics.hpp"
 #include "oms/stream/one_pass_driver.hpp"
 #include "oms/stream/pipeline.hpp"
-#include "oms/util/random.hpp"
 #include "tests/test_support.hpp"
 
 namespace oms {
 namespace {
 
 using testing::fnv1a;
-
-/// Deterministic weighted multigraph-free graph with non-unit node and edge
-/// weights (the descent must be exact for weighted capacities too).
-[[nodiscard]] CsrGraph weighted_graph() {
-  Rng rng(777);
-  const NodeId n = 1200;
-  GraphBuilder builder(n);
-  for (NodeId u = 0; u < n; ++u) {
-    builder.set_node_weight(u, 1 + static_cast<NodeWeight>(rng.next_below(5)));
-  }
-  for (NodeId u = 0; u < n; ++u) {
-    for (int d = 0; d < 4; ++d) {
-      const auto v = static_cast<NodeId>(rng.next_below(n));
-      if (v != u) {
-        builder.add_edge(u, v, 1 + static_cast<EdgeWeight>(rng.next_below(9)));
-      }
-    }
-  }
-  return std::move(builder).build();
-}
+using testing::weighted_graph;
 
 [[nodiscard]] std::uint64_t oms_hash(const CsrGraph& g, const OmsConfig& config,
                                      BlockId k) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 namespace oms {
 namespace {
 
@@ -78,6 +80,39 @@ TEST(Hierarchy, DistanceIsMonotoneInHierarchyLevel) {
   EXPECT_LT(h.distance(0, 2), h.distance(0, 4));
   EXPECT_LT(h.distance(0, 4), h.distance(0, 8));
   EXPECT_EQ(h.distance(0, 15), 8);
+}
+
+/// The definition, evaluated the slow way: d_j of the smallest level j whose
+/// module (a block of module_size(j) consecutive PEs) holds both PEs.
+[[nodiscard]] std::int64_t reference_distance(const SystemHierarchy& h, BlockId x,
+                                              BlockId y) {
+  if (x == y) {
+    return 0;
+  }
+  for (std::size_t level = 1; level <= h.num_levels(); ++level) {
+    if (x / h.module_size(level) == y / h.module_size(level)) {
+      return h.distances()[level - 1];
+    }
+  }
+  return -1;
+}
+
+TEST(Hierarchy, DistanceMatchesDefinitionOnEveryPair) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"3:5:7", "1:10:100"},         {"4:16:1", "1:10:100"},
+      {"2:2:2:2:2:2", "1:2:3:4:5:6"}, {"4:16:64", "1:10:100"},
+      {"7", "5"},                    {"1:6:5", "3:7:11"},
+  };
+  for (const auto& [extents, distances] : cases) {
+    const SystemHierarchy h = SystemHierarchy::parse(extents, distances);
+    std::int64_t mismatches = 0;
+    for (BlockId x = 0; x < h.num_pes(); ++x) {
+      for (BlockId y = 0; y < h.num_pes(); ++y) {
+        mismatches += h.distance(x, y) != reference_distance(h, x, y) ? 1 : 0;
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << extents;
+  }
 }
 
 TEST(HierarchyDeath, MismatchedLengthsRejected) {

@@ -18,7 +18,7 @@
 #include "oms/edgepart/driver.hpp"
 #include "oms/edgepart/hdrf.hpp"
 #include "oms/graph/generators.hpp"
-#include "oms/graph/graph_builder.hpp"
+#include "oms/mapping/mapping_cost.hpp"
 #include "oms/stream/checkpoint.hpp"
 #include "oms/stream/one_pass_driver.hpp"
 #include "oms/stream/window_partitioner.hpp"
@@ -29,6 +29,7 @@ namespace oms {
 namespace {
 
 using testing::fnv1a;
+using testing::weighted_graph;
 
 class TempFile {
 public:
@@ -48,26 +49,6 @@ public:
 private:
   std::string path_;
 };
-
-/// Same weighted instance as the core golden suite (test_golden_equivalence):
-/// non-unit node and edge weights keep the capacity math honest.
-[[nodiscard]] CsrGraph weighted_graph() {
-  Rng rng(777);
-  const NodeId n = 1200;
-  GraphBuilder builder(n);
-  for (NodeId u = 0; u < n; ++u) {
-    builder.set_node_weight(u, 1 + static_cast<NodeWeight>(rng.next_below(5)));
-  }
-  for (NodeId u = 0; u < n; ++u) {
-    for (int d = 0; d < 4; ++d) {
-      const auto v = static_cast<NodeId>(rng.next_below(n));
-      if (v != u) {
-        builder.add_edge(u, v, 1 + static_cast<EdgeWeight>(rng.next_below(9)));
-      }
-    }
-  }
-  return std::move(builder).build();
-}
 
 [[nodiscard]] PartitionRequest request_for(const std::string& algo, BlockId k) {
   PartitionRequest req;
@@ -178,12 +159,66 @@ TEST(FacadeGolden, OmsMappingOnWeightedGraph) {
   EXPECT_EQ(fnv1a(artifact.assignment), 0x18f8feb794389b1cULL);
   EXPECT_EQ(artifact.k, 128); // 4 * 16 * 2 PEs, derived from the hierarchy
   ASSERT_TRUE(artifact.hierarchy.has_value());
-  EXPECT_GE(artifact.metrics.mapping_j, 0.0);
+  // Sequential OMS reports the cut and J its descent counted; they must be
+  // exactly the offline values.
+  EXPECT_EQ(artifact.metrics.edge_cut,
+            static_cast<double>(edge_cut(g, artifact.assignment)));
+  EXPECT_EQ(artifact.metrics.mapping_j,
+            static_cast<double>(
+                mapping_cost(g, *artifact.hierarchy, artifact.assignment)));
+  EXPECT_GT(artifact.metrics.mapping_j, 0.0);
   // rank_of answers through the *regular* tree of the topology.
   for (std::uint64_t v = 0; v < 16; ++v) {
     EXPECT_EQ(artifact.rank_of(v),
               artifact.tree().leaf_block_id(artifact.where(v)));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Quality metrics on the runs whose descent does not count them: the facade
+// falls back to the offline edge_cut / mapping_cost scans.
+// ---------------------------------------------------------------------------
+
+void expect_recomputed_metrics(const CsrGraph& g, const PartitionRequest& req,
+                               const std::string& tag) {
+  const PartitionArtifact artifact = Partitioner().partition(g, req);
+  ASSERT_EQ(artifact.assignment.size(), g.num_nodes()) << tag;
+  EXPECT_EQ(artifact.metrics.edge_cut,
+            static_cast<double>(edge_cut(g, artifact.assignment)))
+      << tag;
+  EXPECT_GT(artifact.metrics.edge_cut, 0.0) << tag;
+  if (req.hierarchy.has_value()) {
+    ASSERT_TRUE(artifact.hierarchy.has_value()) << tag;
+    EXPECT_EQ(artifact.metrics.mapping_j,
+              static_cast<double>(
+                  mapping_cost(g, *artifact.hierarchy, artifact.assignment)))
+        << tag;
+  } else {
+    EXPECT_EQ(artifact.metrics.mapping_j, -1.0) << tag;
+  }
+}
+
+TEST(FacadeMetrics, FallbackRoutesMatchRecomputation) {
+  const CsrGraph g = weighted_graph();
+  PartitionRequest threaded = request_for("oms", 0);
+  threaded.hierarchy = "4:16:2";
+  threaded.threads = 4;
+  expect_recomputed_metrics(g, threaded, "oms threads=4");
+
+  PartitionRequest fennel = request_for("fennel", 128);
+  fennel.hierarchy = "4:16:2";
+  expect_recomputed_metrics(g, fennel, "fennel --hierarchy");
+
+  PartitionRequest window = request_for("window", 16);
+  window.window_size = 64;
+  expect_recomputed_metrics(g, window, "window");
+
+  PartitionRequest buffered = request_for("buffered", 128);
+  buffered.hierarchy = "4:16:2";
+  buffered.buffer_size = 256;
+  expect_recomputed_metrics(g, buffered, "buffered --hierarchy");
+
+  expect_recomputed_metrics(g, request_for("oms", 24), "nh-oms");
 }
 
 // ---------------------------------------------------------------------------

@@ -125,6 +125,27 @@ inline CsrGraph clique_chain(NodeId cliques, NodeId size) {
   return std::move(builder).build();
 }
 
+/// Deterministic weighted graph with non-unit node and edge weights (the
+/// descent must be exact for weighted capacities too). The golden suites pin
+/// their weighted fingerprints on it.
+[[nodiscard]] inline CsrGraph weighted_graph() {
+  Rng rng(777);
+  const NodeId n = 1200;
+  GraphBuilder builder(n);
+  for (NodeId u = 0; u < n; ++u) {
+    builder.set_node_weight(u, 1 + static_cast<NodeWeight>(rng.next_below(5)));
+  }
+  for (NodeId u = 0; u < n; ++u) {
+    for (int d = 0; d < 4; ++d) {
+      const auto v = static_cast<NodeId>(rng.next_below(n));
+      if (v != u) {
+        builder.add_edge(u, v, 1 + static_cast<EdgeWeight>(rng.next_below(9)));
+      }
+    }
+  }
+  return std::move(builder).build();
+}
+
 /// Star with center 0 and n-1 leaves.
 inline CsrGraph star_graph(NodeId n) {
   GraphBuilder builder(n);
