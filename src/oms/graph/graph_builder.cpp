@@ -49,6 +49,9 @@ CsrGraph GraphBuilder::build() && {
   }
   std::partial_sum(xadj.begin(), xadj.end(), xadj.begin());
 
+  // Emitting in sorted (u, v) order leaves every list sorted: node x first
+  // receives its lower neighbours (edges (w, x), ascending w), and only then
+  // its higher ones (edges (x, v), ascending v) — the groups never interleave.
   std::vector<NodeId> adjncy(edges_.size() * 2);
   std::vector<EdgeWeight> adjwgt(edges_.size() * 2);
   std::vector<EdgeIndex> cursor(xadj.begin(), xadj.end() - 1);
@@ -59,25 +62,6 @@ CsrGraph GraphBuilder::build() && {
     adjncy[cursor[e.v]] = e.u;
     adjwgt[cursor[e.v]] = e.w;
     ++cursor[e.v];
-  }
-  // Edges were emitted in sorted (u, v) order, so each u's list already has
-  // its higher neighbors sorted; arcs from the v side arrive in u order too,
-  // but the two interleave, so a per-node sort is still required.
-  for (NodeId u = 0; u < num_nodes_; ++u) {
-    const auto begin = static_cast<std::ptrdiff_t>(xadj[u]);
-    const auto end = static_cast<std::ptrdiff_t>(xadj[u + 1]);
-    std::vector<std::pair<NodeId, EdgeWeight>> entries;
-    entries.reserve(static_cast<std::size_t>(end - begin));
-    for (std::ptrdiff_t i = begin; i < end; ++i) {
-      entries.emplace_back(adjncy[static_cast<std::size_t>(i)],
-                           adjwgt[static_cast<std::size_t>(i)]);
-    }
-    std::sort(entries.begin(), entries.end());
-    for (std::ptrdiff_t i = begin; i < end; ++i) {
-      const auto& [v, w] = entries[static_cast<std::size_t>(i - begin)];
-      adjncy[static_cast<std::size_t>(i)] = v;
-      adjwgt[static_cast<std::size_t>(i)] = w;
-    }
   }
 
   return CsrGraph(std::move(xadj), std::move(adjncy), std::move(adjwgt),

@@ -1,14 +1,14 @@
 #include "oms/graph/io.hpp"
 
-#include <charconv>
-#include <cstdio>
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
-#include <string_view>
 #include <vector>
 
 #include "oms/graph/graph_builder.hpp"
+#include "oms/stream/metis_stream.hpp"
 #include "oms/util/assert.hpp"
 #include "oms/util/crc32.hpp"
 #include "oms/util/io_error.hpp"
@@ -36,56 +36,42 @@ constexpr std::uint64_t kBinaryMagicV2 = 0x4f4d5347'52415032ULL; // "OMSGRAP2"
   throw IoError(path + ":" + std::to_string(line_no) + ": " + message);
 }
 
-/// Incremental whitespace-separated integer scanner over one line.
-class LineTokens {
-public:
-  explicit LineTokens(std::string_view line) noexcept : rest_(line) {}
-
-  /// Next integer token; false when the line is exhausted. \p on_error is
-  /// invoked (and must not return) on a malformed token.
-  template <typename OnError>
-  bool next(std::int64_t& out, OnError&& on_error) {
-    while (!rest_.empty() && (rest_.front() == ' ' || rest_.front() == '\t' ||
-                              rest_.front() == '\r')) {
-      rest_.remove_prefix(1);
-    }
-    if (rest_.empty()) {
-      return false;
-    }
-    const auto [ptr, ec] = std::from_chars(rest_.data(), rest_.data() + rest_.size(), out);
-    if (ec != std::errc{}) {
-      on_error();
-    }
-    rest_.remove_prefix(static_cast<std::size_t>(ptr - rest_.data()));
-    return true;
+/// True when the parsed arrays already are exactly what GraphBuilder would
+/// make of them: 2m arcs, every list strictly increasing without self-loops,
+/// and every arc (u, v) matched by (v, u) with an equal weight. One
+/// sequential O(n + m) pass: cursor[v] walks v's lower neighbours, which
+/// the nodes u < v must claim in ascending order, so when v comes up its
+/// cursor has to stand on its first higher neighbour.
+bool is_canonical(const std::vector<EdgeIndex>& xadj, const std::vector<NodeId>& adjncy,
+                  const std::vector<EdgeWeight>& adjwgt, EdgeIndex num_edges,
+                  bool unit_weights) {
+  if (adjncy.size() != 2 * num_edges) {
+    return false;
   }
-
-private:
-  std::string_view rest_;
-};
-
-/// Header lookup: skip comments *and* blank lines.
-bool next_content_line(std::istream& in, std::string& line, std::uint64_t& line_no) {
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (!line.empty() && line.front() != '%') {
-      return true;
+  std::vector<EdgeIndex> cursor(xadj.begin(), xadj.end() - 1);
+  const auto n = static_cast<NodeId>(cursor.size());
+  for (NodeId u = 0; u < n; ++u) {
+    NodeId prev = u; // every remaining neighbour must lie above u, ascending
+    for (EdgeIndex i = cursor[u]; i < xadj[u + 1]; ++i) {
+      const NodeId v = adjncy[i];
+      if (v <= prev) {
+        return false; // unsorted, duplicate, self-loop or unmatched lower arc
+      }
+      EdgeIndex& slot = cursor[v];
+      if (slot == xadj[v + 1] || adjncy[slot] != u ||
+          (!unit_weights && adjwgt[slot] != adjwgt[i])) {
+        return false; // v does not list u next, or lists it with another weight
+      }
+      ++slot;
+      prev = v;
     }
   }
-  return false;
+  return true;
 }
 
-/// Data lines: skip only comments — an *empty* line is an isolated node and
-/// must consume its slot, otherwise every following adjacency list would
-/// shift onto the wrong node.
-bool next_data_line(std::istream& in, std::string& line, std::uint64_t& line_no) {
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty() || line.front() != '%') {
-      return true;
-    }
-  }
-  return false;
+template <typename T>
+void release(std::vector<T>& v) {
+  std::vector<T>().swap(v);
 }
 
 } // namespace
@@ -165,91 +151,62 @@ void write_edge_list(const CsrGraph& graph, const std::string& path) {
 }
 
 CsrGraph read_metis(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    throw IoError("cannot open graph file '" + path + "'");
+  MetisNodeStream stream(path);
+  const MetisHeader header = stream.header();
+  const NodeId n = header.num_nodes;
+
+  std::vector<EdgeIndex> xadj;
+  std::vector<NodeWeight> vwgt;
+  std::vector<NodeId> adjncy;
+  std::vector<EdgeWeight> adjwgt;
+  xadj.reserve(static_cast<std::size_t>(n) + 1);
+  vwgt.reserve(n);
+  // Every arc costs at least two bytes of text, so the file size caps what
+  // a header may make us reserve: a lying m cannot cause bad_alloc.
+  std::error_code size_error;
+  if (std::filesystem::is_regular_file(path, size_error)) {
+    const std::uintmax_t bytes = std::filesystem::file_size(path, size_error);
+    if (!size_error) {
+      const auto arcs = static_cast<std::size_t>(
+          std::min<std::uintmax_t>(2 * header.num_edges, bytes / 2 + 1));
+      adjncy.reserve(arcs);
+      adjwgt.reserve(arcs);
+    }
+  }
+  xadj.push_back(0);
+  NodeWeight weight = 1;
+  while (stream.next_into(weight, adjncy, adjwgt)) {
+    vwgt.push_back(weight);
+    xadj.push_back(adjncy.size());
   }
 
-  std::uint64_t line_no = 0;
-  std::string line;
-  if (!next_content_line(in, line, line_no)) {
-    io_fail(path, line_no, "missing METIS header");
-  }
-  const auto bad_header = [&] { io_fail(path, line_no, "malformed METIS header"); };
-  LineTokens header(line);
-  std::int64_t n = 0;
-  std::int64_t m = 0;
-  std::int64_t fmt = 0;
-  if (!header.next(n, bad_header) || !header.next(m, bad_header)) {
-    bad_header();
-  }
-  header.next(fmt, bad_header); // optional
-  if (n < 0 || m < 0) {
-    io_fail(path, line_no, "negative sizes in METIS header");
-  }
-  if (n > static_cast<std::int64_t>(std::numeric_limits<NodeId>::max())) {
-    io_fail(path, line_no,
-            "node count " + std::to_string(n) + " exceeds the supported maximum");
-  }
-  const bool has_edge_weights = (fmt % 10) == 1;
-  const bool has_node_weights = (fmt / 10 % 10) == 1;
-  if (fmt / 100 != 0) {
-    io_fail(path, line_no, "multi-constraint METIS files are unsupported");
-  }
-  // Same header contract as the streaming reader (metis_stream.cpp): an
-  // optional 4th token is the constraint count, and only 1 is workable —
-  // silently consuming one weight per node and parsing the rest as neighbor
-  // ids would corrupt the graph, not reject it.
-  std::int64_t ncon = 1;
-  if (header.next(ncon, bad_header) && ncon != 1) {
-    io_fail(path, line_no, "multi-constraint METIS files are unsupported");
-  }
-  std::int64_t junk = 0;
-  if (header.next(junk, bad_header)) {
-    io_fail(path, line_no, "trailing tokens in METIS header");
+  if (is_canonical(xadj, adjncy, adjwgt, header.num_edges,
+                   !header.has_edge_weights)) {
+    return CsrGraph(std::move(xadj), std::move(adjncy), std::move(adjwgt),
+                    std::move(vwgt));
   }
 
-  GraphBuilder builder(static_cast<NodeId>(n));
-  const auto bad_token = [&] { io_fail(path, line_no, "malformed integer token"); };
-  for (NodeId u = 0; u < static_cast<NodeId>(n); ++u) {
-    // Missing trailing lines mean isolated nodes; treat EOF as empty lines.
-    if (!next_data_line(in, line, line_no)) {
-      break;
-    }
-    LineTokens tokens(line);
-    std::int64_t value = 0;
-    if (has_node_weights) {
-      if (!tokens.next(value, bad_token)) {
-        io_fail(path, line_no, "missing node weight");
-      }
-      builder.set_node_weight(u, value);
-    }
-    while (tokens.next(value, bad_token)) {
-      if (value < 1 || value > n) {
-        io_fail(path, line_no, "neighbor id " + std::to_string(value) +
-                                   " out of range [1, " + std::to_string(n) + "]");
-      }
-      const auto v = static_cast<NodeId>(value - 1);
-      EdgeWeight w = 1;
-      if (has_edge_weights) {
-        std::int64_t wt = 0;
-        if (!tokens.next(wt, bad_token)) {
-          io_fail(path, line_no, "missing edge weight");
-        }
-        w = wt;
-      }
-      // METIS lists every edge from both endpoints; record the canonical
-      // direction only so GraphBuilder does not double the weights.
-      if (u < v) {
-        builder.add_edge(u, v, w);
+  // Anything else goes through GraphBuilder: METIS lists every edge from
+  // both endpoints, so record the lower endpoint's listing only (duplicates
+  // summed, self-loops dropped, the graph symmetrised from that side).
+  GraphBuilder builder(n);
+  for (NodeId u = 0; u < n; ++u) {
+    builder.set_node_weight(u, vwgt[u]);
+    for (EdgeIndex i = xadj[u]; i < xadj[u + 1]; ++i) {
+      if (u < adjncy[i]) {
+        builder.add_edge(u, adjncy[i], adjwgt[i]);
       }
     }
   }
+  release(xadj);
+  release(vwgt);
+  release(adjncy);
+  release(adjwgt);
   CsrGraph graph = std::move(builder).build();
-  if (graph.num_edges() != static_cast<EdgeIndex>(m)) {
+  if (graph.num_edges() != header.num_edges) {
     io_fail(path, 0,
             "edge count disagrees with METIS header (header says " +
-                std::to_string(m) + ", file has " +
+                std::to_string(header.num_edges) + ", file has " +
                 std::to_string(graph.num_edges()) + ")");
   }
   return graph;

@@ -16,10 +16,21 @@ namespace oms {
 void write_metis(const CsrGraph& graph, const std::string& path);
 
 /// Read a METIS file produced by write_metis (or any well-formed METIS graph
-/// with fmt in {"", "0", "1", "10", "11"}). Comment lines (%) are skipped.
+/// with fmt in {"", "0", "1", "10", "11"}). Comment lines (%) are skipped;
+/// lines missing at end of file are isolated unit-weight nodes.
+///
+/// Parses with MetisNodeStream (the one METIS grammar) straight into the CSR
+/// arrays, then checks in one O(n + m) pass whether the file is already
+/// canonical — sorted, simple, symmetric with equal weights, exactly 2m
+/// arcs. If so the arrays become the graph as they are, with no edge list
+/// and no sort. Otherwise the lower endpoint's listing of every edge goes
+/// through GraphBuilder (duplicates summed, self-loops dropped, the graph
+/// symmetrised from that side); both routes return identical arrays.
+///
 /// Throws oms::IoError (with file:line position) on unopenable paths and
 /// malformed content — bad header, non-numeric token, out-of-range neighbor,
-/// missing weight, edge count disagreeing with the header.
+/// missing or non-positive edge weight, missing or negative node weight, and
+/// an edge count disagreeing with the header.
 [[nodiscard]] CsrGraph read_metis(const std::string& path);
 
 /// Compact binary round-trip (little-endian host assumed; this is a cache

@@ -70,11 +70,18 @@ void MetisNodeStream::read_header() {
 void MetisNodeStream::parse_data_line(std::string_view line, NodeWeight& weight,
                                       std::vector<NodeId>& neighbors,
                                       std::vector<EdgeWeight>& edge_weights) {
-  weight = 1;
   IntScanner tokens(line);
   const auto bad_token = [this] { fail("malformed integer token"); };
   std::int64_t value = 0;
-  if (header_.has_node_weights && tokens.next(value, bad_token)) {
+  if (header_.has_node_weights) {
+    // A present line must carry its weight; only lines missing at end of
+    // file default to unit weight (next_into never calls us for those).
+    if (!tokens.next(value, bad_token)) {
+      fail("missing node weight");
+    }
+    if (value < 0) {
+      fail("negative node weight " + std::to_string(value));
+    }
     weight = value;
   }
   while (tokens.next(value, bad_token)) {
@@ -85,29 +92,37 @@ void MetisNodeStream::parse_data_line(std::string_view line, NodeWeight& weight,
     neighbors.push_back(static_cast<NodeId>(value - 1));
     EdgeWeight w = 1;
     if (header_.has_edge_weights) {
-      std::int64_t wt = 1;
-      if (!tokens.next(wt, bad_token)) {
+      if (!tokens.next(w, bad_token)) {
         fail("missing edge weight");
       }
-      w = wt;
+      if (w <= 0) {
+        fail("non-positive edge weight " + std::to_string(w));
+      }
     }
     edge_weights.push_back(w);
   }
 }
 
-bool MetisNodeStream::parse_next(NodeWeight& weight, std::vector<NodeId>& neighbors,
-                                 std::vector<EdgeWeight>& edge_weights) {
+bool MetisNodeStream::next_into(NodeWeight& weight, std::vector<NodeId>& neighbors,
+                                std::vector<EdgeWeight>& edge_weights) {
   if (next_id_ >= header_.num_nodes) {
     return false;
   }
-  // Comment lines are skipped; an empty line — or a missing trailing line —
-  // is an isolated node.
+  // Comment lines are skipped; an empty line is an isolated node, and so is
+  // a line missing at end of file — which, unlike a present empty line,
+  // owes no node weight.
   std::string_view line;
+  bool present = false;
   while (reader_.next_line(line)) {
     if (line.empty() || line.front() != '%') {
+      present = true;
       break;
     }
-    line = std::string_view();
+  }
+  weight = 1;
+  if (!present) {
+    ++next_id_;
+    return true;
   }
   const std::size_t neighbors_mark = neighbors.size();
   const std::size_t weights_mark = edge_weights.size();
@@ -139,7 +154,7 @@ bool MetisNodeStream::next(StreamedNode& out) {
   weight_buffer_.clear();
   NodeWeight node_weight = 1;
   const NodeId id = next_id_;
-  if (!parse_next(node_weight, neighbor_buffer_, weight_buffer_)) {
+  if (!next_into(node_weight, neighbor_buffer_, weight_buffer_)) {
     return false;
   }
   out = StreamedNode{id, node_weight, neighbor_buffer_, weight_buffer_};
@@ -152,7 +167,7 @@ std::size_t MetisNodeStream::fill_batch(NodeBatch& batch, std::size_t max_nodes,
   NodeWeight weight = 1;
   while (batch.size() < max_nodes &&
          (max_arcs == 0 || batch.num_arcs() < max_arcs)) {
-    if (!parse_next(weight, batch.neighbor_sink(), batch.edge_weight_sink())) {
+    if (!next_into(weight, batch.neighbor_sink(), batch.edge_weight_sink())) {
       break;
     }
     batch.commit_node(weight);

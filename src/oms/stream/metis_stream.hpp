@@ -11,8 +11,10 @@
 /// The reader pulls raw chunks into one reusable buffer and parses integers
 /// in place with std::from_chars — no per-line getline, no per-line string
 /// copies. Malformed *content* (bad header, out-of-range neighbor, missing
-/// edge weight, non-numeric token) raises oms::IoError with the file
-/// position, so CLIs fail cleanly instead of aborting.
+/// or non-positive edge weight, missing or negative node weight, non-numeric
+/// token) raises oms::IoError with the file position, so CLIs fail cleanly
+/// instead of aborting. This is the library's only METIS grammar: the
+/// in-memory loader (read_metis) parses through next_into() as well.
 #pragma once
 
 #include <string>
@@ -59,6 +61,15 @@ public:
   /// \p out remain valid until the next call.
   bool next(StreamedNode& out);
 
+  /// Parse the next node, appending its adjacency to the caller-owned sinks
+  /// (nothing is cleared first) and setting \p weight. False once all
+  /// header().num_nodes nodes have been delivered. Lines missing at end of
+  /// file are isolated unit-weight nodes; a present line is parsed in full.
+  /// Applies the error policy: under kSkip a malformed line rolls back its
+  /// partial appends and degrades to an isolated unit-weight node.
+  bool next_into(NodeWeight& weight, std::vector<NodeId>& neighbors,
+                 std::vector<EdgeWeight>& edge_weights);
+
   /// Chunk handoff for the disk drivers: parse up to \p max_nodes
   /// consecutive nodes (fewer when \p max_arcs adjacency entries accumulate
   /// first — hub-heavy regions cap batch memory by arcs, not node count)
@@ -101,13 +112,9 @@ public:
 
 private:
   void read_header();
-  /// Parse the next data line, appending the adjacency into the given sinks.
-  /// False when all header().num_nodes nodes have been delivered. Applies
-  /// the error policy: under kSkip a malformed line rolls back its partial
-  /// appends and degrades to an isolated node.
-  bool parse_next(NodeWeight& weight, std::vector<NodeId>& neighbors,
-                  std::vector<EdgeWeight>& edge_weights);
-  /// The raw token loop over one data line (throws ContentError via fail()).
+  /// The raw token loop over one present data line (throws ContentError via
+  /// fail()): ids in [1, n], edge weights > 0, node weights >= 0, and a
+  /// node weight on every line of a node-weighted file.
   void parse_data_line(std::string_view line, NodeWeight& weight,
                        std::vector<NodeId>& neighbors,
                        std::vector<EdgeWeight>& edge_weights);

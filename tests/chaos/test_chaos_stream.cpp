@@ -10,6 +10,7 @@
 /// producer thread degrades to the sequential path bit-identically).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -21,8 +22,10 @@
 #include "oms/partition/fennel.hpp"
 #include "oms/stream/buffered_stream_driver.hpp"
 #include "oms/stream/metis_stream.hpp"
+#include "oms/stream/one_pass_driver.hpp"
 #include "oms/stream/pipeline.hpp"
 #include "oms/stream/window_partitioner.hpp"
+#include "oms/telemetry/metrics.hpp"
 #include "oms/util/fault_injection.hpp"
 #include "oms/util/io_error.hpp"
 #include "tests/test_support.hpp"
@@ -98,6 +101,15 @@ protected:
         .assignment;
   }
 
+  /// read_metis rides the same BufferedLineReader (retries, fault sites),
+  /// then the in-memory one-pass driver assigns the loaded graph.
+  static std::vector<BlockId> in_memory_load() {
+    const CsrGraph graph = read_metis(*metis_path_);
+    FennelPartitioner fennel(graph.num_nodes(), graph.num_edges(),
+                             graph.total_node_weight(), config());
+    return run_one_pass(graph, fennel).assignment;
+  }
+
   static std::vector<BlockId> edge_sequential() {
     HdrfPartitioner hdrf(edge_config());
     return run_edge_partition_from_file(*edge_path_, hdrf).edge_assignment;
@@ -171,6 +183,7 @@ TEST_F(ChaosStreamTest, SeededFaultSweepOverEveryDriver) {
       {"window sequential", &window_sequential},
       {"buffered sequential", &buffered_sequential},
       {"buffered pipelined", &buffered_pipelined},
+      {"in-memory load", &in_memory_load},
       {"edge sequential", &edge_sequential},
       {"edge pipelined", &edge_pipelined},
   };
@@ -195,6 +208,25 @@ TEST_F(ChaosStreamTest, TransientReadFailureHealsBitIdentically) {
   const std::vector<BlockId> golden = one_pass_sequential();
   FaultPlan::arm(FaultPlan::parse("read.transient@1"));
   EXPECT_EQ(one_pass_sequential(), golden);
+}
+
+TEST_F(ChaosStreamTest, TransientReadFailureHealsBitIdenticallyForReadMetis) {
+  const CsrGraph golden = read_metis(*metis_path_);
+  telemetry::MetricsRegistry registry;
+  telemetry::MetricsRegistry::arm(registry);
+  FaultPlan::arm(FaultPlan::parse("read.transient@1"));
+  const CsrGraph healed = read_metis(*metis_path_);
+  FaultPlan::disarm();
+  telemetry::MetricsRegistry::disarm();
+  // The fault really fired (one retry), and the retry lost no bytes.
+  EXPECT_EQ(registry.scrape().counter(telemetry::Counter::kStreamReadRetries), 1u);
+  const auto same = [](auto a, auto b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  };
+  EXPECT_TRUE(same(healed.raw_xadj(), golden.raw_xadj()));
+  EXPECT_TRUE(same(healed.raw_adjncy(), golden.raw_adjncy()));
+  EXPECT_TRUE(same(healed.raw_adjwgt(), golden.raw_adjwgt()));
+  EXPECT_TRUE(same(healed.raw_vwgt(), golden.raw_vwgt()));
 }
 
 TEST_F(ChaosStreamTest, ShortReadsMakeProgressBitIdentically) {

@@ -74,6 +74,29 @@ check_clean_error "in-memory neighbor out of range" 1 \
 check_clean_error "in-memory malformed header" 1 \
   "$tool" "$tmpdir/badheader.graph" --k 2
 
+# Bad weights: one rule set in the one parser, so the in-memory loader and
+# the disk route reject the same files (they used to abort and accept them,
+# respectively). A bad weight on the higher endpoint's line counts too.
+printf '2 1 1\n2 0\n1 0\n' > "$tmpdir/zeroweight.graph"
+printf '2 1 1\n2 5\n1 -5\n' > "$tmpdir/negweight.graph"
+for route in in-memory from-disk; do
+  flags=()
+  [ "$route" = from-disk ] && flags=(--from-disk)
+  check_clean_error "$route zero edge weight" 1 \
+    "$tool" "$tmpdir/zeroweight.graph" --k 2 "${flags[@]}"
+  check_clean_error "$route negative edge weight on the higher endpoint" 1 \
+    "$tool" "$tmpdir/negweight.graph" --k 2 "${flags[@]}"
+done
+check_clean_error "from-disk bad edge weight skipped under --on-error skip" 0 \
+  "$tool" "$tmpdir/negweight.graph" --k 2 --from-disk --on-error skip
+# Node-weighted files only load in memory (--from-disk rejects them with 2).
+printf '2 1 10\n-3 2\n1 1\n' > "$tmpdir/negnodeweight.graph"
+printf '3 1 10\n4 2\n\n5\n' > "$tmpdir/nonodeweight.graph"
+check_clean_error "in-memory negative node weight" 1 \
+  "$tool" "$tmpdir/negnodeweight.graph" --k 2
+check_clean_error "in-memory missing node weight" 1 \
+  "$tool" "$tmpdir/nonodeweight.graph" --k 2
+
 # --- Disk-native buffered and window models ---------------------------------
 
 # Both stream from disk now: well-formed controls must succeed, sequential
@@ -235,6 +258,19 @@ if grep -q '"schema":"oms.metrics.v1"' "$tmpdir/metrics.json" &&
 else
   echo "FAIL [--metrics-out document malformed or counters missing]"
   sed 's/^/    /' "$tmpdir/metrics.json" 2> /dev/null
+  failures=$((failures + 1))
+fi
+
+# The in-memory loader parses through the same line reader, so an in-memory
+# run counts the load's lines (header + 3 node lines) and bytes too.
+"$tool" "$tmpdir/good.graph" --k 2 --metrics-out "$tmpdir/metrics_mem.json" \
+  > /dev/null 2>&1
+if grep -q '"stream.lines_parsed":4' "$tmpdir/metrics_mem.json" &&
+   ! grep -q '"stream.bytes_read":0' "$tmpdir/metrics_mem.json"; then
+  echo "ok   [in-memory --metrics-out counts the load]"
+else
+  echo "FAIL [in-memory --metrics-out counts the load]"
+  sed 's/^/    /' "$tmpdir/metrics_mem.json" 2> /dev/null
   failures=$((failures + 1))
 fi
 

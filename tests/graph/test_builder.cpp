@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "tests/test_support.hpp"
 
 namespace oms {
@@ -52,6 +56,34 @@ TEST(GraphBuilder, AdjacencyIsSorted) {
   const auto neigh = g.neighbors(2);
   ASSERT_EQ(neigh.size(), 4u);
   EXPECT_TRUE(std::is_sorted(neigh.begin(), neigh.end()));
+}
+
+TEST(GraphBuilder, RandomInsertionOrderWithDuplicatesBuildsAValidGraph) {
+  // build() emits each list as lower neighbours then higher ones, both
+  // ascending, with no per-node sort; any insertion order (either
+  // direction, parallel copies) must still come out sorted and symmetric.
+  Rng rng(oms::testing::draw_seed(0xb1d));
+  constexpr NodeId kNodes = 200;
+  GraphBuilder builder(kNodes);
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (int i = 0; i < 1500; ++i) {
+    edges.emplace_back(static_cast<NodeId>(rng.next_below(kNodes)),
+                       static_cast<NodeId>(rng.next_below(kNodes)));
+  }
+  for (int i = 0; i < 300; ++i) { // parallel copies, reversed or not
+    const auto [u, v] = edges[rng.next_below(edges.size())];
+    edges.emplace_back(rng.next_below(2) == 0 ? std::pair{u, v} : std::pair{v, u});
+  }
+  rng.shuffle(edges);
+  for (const auto& [u, v] : edges) {
+    builder.add_edge(u, v, 1 + static_cast<EdgeWeight>(rng.next_below(5)));
+  }
+  const CsrGraph g = std::move(builder).build();
+  g.validate();
+  for (NodeId u = 0; u < kNodes; ++u) {
+    const auto neigh = g.neighbors(u);
+    EXPECT_TRUE(std::is_sorted(neigh.begin(), neigh.end())) << "node " << u;
+  }
 }
 
 TEST(GraphBuilder, NodeWeightsDefaultToOne) {

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <utility>
 #include <vector>
 
 #include "oms/graph/generators.hpp"
@@ -183,6 +184,69 @@ TEST_F(IoTest, MetisMissingEdgeWeightThrows) {
     out << "2 1 1\n2 5\n1\n"; // fmt=1 but node 2's weight is absent
   }
   EXPECT_THROW((void)read_metis(path), IoError);
+  std::remove(path.c_str());
+}
+
+TEST_F(IoTest, MetisBadWeightsThrowWithPosition) {
+  // Non-positive edge weights and negative node weights are typed content
+  // errors on every line — also on the higher endpoint's line, whose
+  // listing of an edge the loader otherwise does not use.
+  const std::string path = temp_path("badweights.graph");
+  const std::pair<const char*, const char*> cases[] = {
+      {"2 1 1\n2 0\n1 0\n", ":2:"},
+      {"2 1 10\n-3 2\n1 1\n", ":2:"},
+      {"2 1 1\n2 5\n1 -5\n", ":3:"},
+  };
+  for (const auto& [content, position] : cases) {
+    {
+      std::ofstream out(path);
+      out << content;
+    }
+    try {
+      (void)read_metis(path);
+      ADD_FAILURE() << "accepted: " << content;
+    } catch (const IoError& e) {
+      EXPECT_NE(std::string(e.what()).find(position), std::string::npos)
+          << content << " -> " << e.what();
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST_F(IoTest, MetisMissingNodeWeightThrowsButMissingTrailingLinesDoNot) {
+  const std::string path = temp_path("nodeweights.graph");
+  {
+    std::ofstream out(path);
+    out << "3 1 10\n4 2\n\n5\n"; // node 2's line is present but empty
+  }
+  EXPECT_THROW((void)read_metis(path), IoError);
+  {
+    std::ofstream out(path);
+    out << "4 1 10\n4 2\n5 1\n"; // nodes 3 and 4 have no lines at all
+  }
+  const CsrGraph g = read_metis(path);
+  EXPECT_EQ(g.node_weight(0), 4);
+  EXPECT_EQ(g.node_weight(1), 5);
+  EXPECT_EQ(g.node_weight(2), 1);
+  EXPECT_EQ(g.node_weight(3), 1);
+  EXPECT_EQ(g.degree(3), 0u);
+  std::remove(path.c_str());
+}
+
+TEST_F(IoTest, MetisNonCanonicalFileLoadsLikeTheBuilder) {
+  // Unsorted lists, a duplicate and a self-loop: the builder route sums the
+  // lower endpoint's duplicates and drops the loop.
+  const std::string path = temp_path("noncanonical.graph");
+  {
+    std::ofstream out(path);
+    out << "3 2 1\n3 2 2 4 1 1 2 6\n1 10\n1 1\n";
+  }
+  const CsrGraph g = read_metis(path);
+  g.validate();
+  EXPECT_EQ(g.num_edges(), 2u);
+  EXPECT_EQ(g.incident_weights(0)[0], 10); // 4 + 6 from node 1's listing
+  EXPECT_EQ(g.incident_weights(1)[0], 10);
+  EXPECT_EQ(g.incident_weights(0)[1], 2);
   std::remove(path.c_str());
 }
 

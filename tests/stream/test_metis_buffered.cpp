@@ -11,6 +11,8 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "oms/graph/generators.hpp"
 #include "oms/graph/graph_builder.hpp"
@@ -238,6 +240,85 @@ TEST(MetisBufferedErrors, MissingEdgeWeight) {
   StreamedNode node{};
   ASSERT_TRUE(stream.next(node));
   EXPECT_THROW(stream.next(node), IoError);
+  std::remove(path.c_str());
+}
+
+TEST(MetisBufferedErrors, NonPositiveEdgeAndNegativeNodeWeights) {
+  const std::string path = temp_path("oms_buffered_badweights.graph");
+  // {file, nodes delivered before the bad line}
+  const std::pair<const char*, int> cases[] = {
+      {"2 1 1\n2 0\n1 0\n", 0},
+      {"2 1 10\n-3 2\n1 1\n", 0},
+      {"2 1 1\n2 5\n1 -5\n", 1},
+  };
+  for (const auto& [content, good_lines] : cases) {
+    write_text(path, content);
+    MetisNodeStream stream(path);
+    StreamedNode node{};
+    for (int i = 0; i < good_lines; ++i) {
+      ASSERT_TRUE(stream.next(node)) << content;
+    }
+    EXPECT_THROW(stream.next(node), ContentError) << content;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(MetisBufferedErrors, BadWeightIsSkippableUnderTheSkipPolicy) {
+  const std::string path = temp_path("oms_buffered_skipweight.graph");
+  write_text(path, "2 1 1\n2 5\n1 -5\n");
+  MetisNodeStream stream(path);
+  StreamErrorPolicy policy;
+  policy.action = StreamErrorPolicy::Action::kSkip;
+  stream.set_error_policy(policy);
+  StreamedNode node{};
+  ASSERT_TRUE(stream.next(node));
+  ASSERT_TRUE(stream.next(node));
+  EXPECT_EQ(node.id, 1u);
+  EXPECT_TRUE(node.neighbors.empty()); // degraded to an isolated node
+  EXPECT_EQ(stream.error_stats().lines_skipped, 1u);
+  std::remove(path.c_str());
+}
+
+TEST(MetisBufferedErrors, PresentEmptyLineOwesItsNodeWeight) {
+  const std::string path = temp_path("oms_buffered_nodeweight.graph");
+  write_text(path, "3 1 10\n4 2\n\n5\n");
+  MetisNodeStream stream(path);
+  StreamedNode node{};
+  ASSERT_TRUE(stream.next(node));
+  EXPECT_THROW(stream.next(node), ContentError);
+  std::remove(path.c_str());
+}
+
+TEST(MetisBuffered, MissingTrailingLinesAreUnitWeightIsolatedNodes) {
+  const std::string path = temp_path("oms_buffered_nodeweight_eof.graph");
+  write_text(path, "4 1 10\n4 2\n5 1\n");
+  MetisNodeStream stream(path);
+  StreamedNode node{};
+  std::vector<NodeWeight> weights;
+  while (stream.next(node)) {
+    weights.push_back(node.weight);
+    if (node.id >= 2) {
+      EXPECT_TRUE(node.neighbors.empty());
+    }
+  }
+  EXPECT_EQ(weights, (std::vector<NodeWeight>{4, 5, 1, 1}));
+  std::remove(path.c_str());
+}
+
+TEST(MetisBuffered, NextIntoAppendsToCallerSinks) {
+  const std::string path = temp_path("oms_buffered_next_into.graph");
+  write_text(path, "3 2 1\n2 3\n1 3 3 4\n2 4\n");
+  MetisNodeStream stream(path);
+  std::vector<NodeId> neighbors{99};
+  std::vector<EdgeWeight> weights{99};
+  NodeWeight weight = 0;
+  std::vector<NodeWeight> node_weights;
+  while (stream.next_into(weight, neighbors, weights)) {
+    node_weights.push_back(weight);
+  }
+  EXPECT_EQ(node_weights, (std::vector<NodeWeight>{1, 1, 1}));
+  EXPECT_EQ(neighbors, (std::vector<NodeId>{99, 1, 0, 2, 1}));
+  EXPECT_EQ(weights, (std::vector<EdgeWeight>{99, 3, 3, 4, 4}));
   std::remove(path.c_str());
 }
 
