@@ -25,6 +25,7 @@
 #include "oms/partition/ldg.hpp"
 #include "oms/service/protocol.hpp"
 #include "oms/service/service.hpp"
+#include "oms/stream/buffered_stream_driver.hpp"
 #include "oms/stream/metis_stream.hpp"
 #include "oms/stream/one_pass_driver.hpp"
 #include "oms/stream/pipeline.hpp"
@@ -296,6 +297,31 @@ void BM_BufferedMultilevel(benchmark::State& state) {
                           static_cast<std::int64_t>(graph.num_nodes()));
 }
 BENCHMARK(BM_BufferedMultilevel)->Arg(4096)->Arg(16384);
+
+void BM_BufferedCheckpoint(benchmark::State& state) {
+  // The disk-native buffered driver snapshotting after every buffer: the
+  // snapshot path (state save, CRC, file write + rename) against a cheap
+  // buffered core, so checkpoint overhead dominates the entry.
+  const std::string stem = "/tmp/oms_bench_micro_ckpt." + std::to_string(::getpid());
+  const std::string path = stem + ".graph";
+  const CsrGraph& graph = shared_graph();
+  write_metis(graph, path);
+  BufferedConfig config;
+  config.buffer_size = 1024;
+  StreamPlan plan;
+  plan.checkpoint_path = stem + ".ckpt";
+  plan.checkpoint_every = config.buffer_size;
+  plan.checkpoint_algo = buffered_checkpoint_algo_id(config);
+  for (auto _ : state) {
+    const BufferedResult r = buffered_partition_from_file(path, 64, config, plan);
+    benchmark::DoNotOptimize(r.assignment.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(graph.num_nodes()));
+  std::remove(plan.checkpoint_path.c_str());
+  std::remove(path.c_str());
+}
+BENCHMARK(BM_BufferedCheckpoint);
 
 void BM_WindowPartition(benchmark::State& state) {
   // Sliding-window assignment throughput (delayed decisions, k-wide scan).

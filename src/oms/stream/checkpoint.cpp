@@ -1,10 +1,13 @@
 #include "oms/stream/checkpoint.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <memory>
+#include <system_error>
 #include <utility>
 
 #include "oms/stream/block_weights.hpp"
@@ -68,6 +71,12 @@ void CheckpointWriter::put_raw(const void* data, std::size_t bytes) {
   buf_.insert(buf_.end(), p, p + bytes);
 }
 
+char* CheckpointWriter::grow(std::size_t bytes) {
+  const std::size_t at = buf_.size();
+  buf_.resize(at + bytes);
+  return buf_.data() + at;
+}
+
 std::string CheckpointReader::get_string() {
   const std::uint32_t len = get_u32();
   if (len > remaining()) {
@@ -79,14 +88,20 @@ std::string CheckpointReader::get_string() {
 }
 
 void CheckpointReader::get_raw(void* out, std::size_t bytes) {
-  if (bytes > remaining()) {
-    throw IoError("checkpoint: truncated payload");
-  }
+  const char* from = take(bytes);
   if (bytes == 0) {
     return; // an empty payload's data() may be null, which memcpy forbids
   }
-  std::memcpy(out, cur_, bytes);
+  std::memcpy(out, from, bytes);
+}
+
+const char* CheckpointReader::take(std::size_t bytes) {
+  if (bytes > remaining()) {
+    throw IoError("checkpoint: truncated payload");
+  }
+  const char* at = cur_;
   cur_ += bytes;
+  return at;
 }
 
 void CheckpointReader::expect_end() const {
@@ -99,13 +114,11 @@ void CheckpointReader::expect_end() const {
 void write_checkpoint_file(const std::string& path, const CheckpointMeta& meta,
                            const std::vector<char>& payload) {
   const telemetry::TraceSpan span(telemetry::Hist::kStageCheckpointWrite);
-  CheckpointWriter w;
-  w.put_u64(kCheckpointMagic);
-  w.put_u32(kCheckpointVersion);
-  put_meta(w, meta);
-  w.put_u64(payload.size());
-  w.put_raw(payload.data(), payload.size());
-  const std::uint32_t crc = crc32(w.bytes().data(), w.bytes().size());
+  CheckpointWriter header;
+  header.put_u64(kCheckpointMagic);
+  header.put_u32(kCheckpointVersion);
+  put_meta(header, meta);
+  header.put_u64(payload.size());
 
   // tmp + rename: a crash mid-write can only lose the snapshot in progress,
   // never corrupt the previous one.
@@ -115,9 +128,16 @@ void write_checkpoint_file(const std::string& path, const CheckpointMeta& meta,
     if (file == nullptr) {
       throw IoError("cannot open checkpoint file '" + tmp + "' for writing");
     }
-    if (std::fwrite(w.bytes().data(), 1, w.bytes().size(), file.get()) !=
-            w.bytes().size() ||
-        std::fwrite(&crc, 1, sizeof crc, file.get()) != sizeof crc ||
+    std::uint32_t crc = crc32_init();
+    const auto write_raw = [&file, &crc](const std::vector<char>& bytes) {
+      crc = crc32_update(crc, bytes.data(), bytes.size());
+      // An empty vector's data() may be null, which fwrite forbids.
+      return bytes.empty() ||
+             std::fwrite(bytes.data(), 1, bytes.size(), file.get()) == bytes.size();
+    };
+    const bool ok = write_raw(header.bytes()) && write_raw(payload);
+    crc = crc32_final(crc);
+    if (!ok || std::fwrite(&crc, 1, sizeof crc, file.get()) != sizeof crc ||
         std::fflush(file.get()) != 0) {
       throw IoError("write error on checkpoint file '" + tmp + "'");
     }
@@ -127,7 +147,7 @@ void write_checkpoint_file(const std::string& path, const CheckpointMeta& meta,
   }
   telemetry::metric_add(telemetry::Counter::kCheckpointSnapshots);
   telemetry::metric_add(telemetry::Counter::kCheckpointBytes,
-                        w.bytes().size() + sizeof crc);
+                        header.bytes().size() + payload.size() + sizeof(std::uint32_t));
 }
 
 CheckpointState read_checkpoint_file(const std::string& path) {
@@ -135,17 +155,17 @@ CheckpointState read_checkpoint_file(const std::string& path) {
   if (file == nullptr) {
     throw IoError("cannot open checkpoint file '" + path + "'");
   }
-  std::vector<char> bytes;
-  char chunk[1 << 16];
-  while (true) {
-    const std::size_t got = std::fread(chunk, 1, sizeof chunk, file.get());
-    bytes.insert(bytes.end(), chunk, chunk + got);
-    if (got < sizeof chunk) {
-      if (std::ferror(file.get()) != 0) {
-        throw IoError("read error on checkpoint file '" + path + "'");
-      }
-      break;
-    }
+  // One read into a buffer sized from the file's length (an error for
+  // anything but a regular file, e.g. a directory).
+  std::error_code size_error;
+  const std::uintmax_t length = std::filesystem::file_size(path, size_error);
+  if (size_error) {
+    throw IoError("read error on checkpoint file '" + path + "'");
+  }
+  std::vector<char> bytes(static_cast<std::size_t>(length));
+  if (!bytes.empty() &&
+      std::fread(bytes.data(), 1, bytes.size(), file.get()) != bytes.size()) {
+    throw IoError("read error on checkpoint file '" + path + "'");
   }
 
   if (bytes.size() < sizeof(std::uint64_t) + 2 * sizeof(std::uint32_t)) {
@@ -175,8 +195,12 @@ CheckpointState read_checkpoint_file(const std::string& path) {
   if (payload_len != r.remaining()) {
     throw IoError("checkpoint '" + path + "': payload length mismatch");
   }
-  state.payload.resize(payload_len);
-  r.get_raw(state.payload.data(), payload_len);
+  // The payload is the file's tail minus the CRC: shift it down in place
+  // rather than copying it into a second buffer.
+  const auto header_len = static_cast<std::ptrdiff_t>(body - payload_len);
+  bytes.erase(bytes.begin(), bytes.begin() + header_len);
+  bytes.resize(payload_len);
+  state.payload = std::move(bytes);
   return state;
 }
 
@@ -202,9 +226,10 @@ void validate_resume(const CheckpointMeta& meta, const std::string& algo,
 
 void save_assignment(CheckpointWriter& w, const AssignmentArray& assignment) {
   w.put_u64(assignment.size());
-  for (std::size_t u = 0; u < assignment.size(); ++u) {
+  char* out = w.grow(assignment.size() * sizeof(BlockId));
+  for (std::size_t u = 0; u < assignment.size(); ++u, out += sizeof(BlockId)) {
     const BlockId b = assignment.load(static_cast<NodeId>(u));
-    w.put_raw(&b, sizeof b);
+    std::memcpy(out, &b, sizeof b);
   }
 }
 
@@ -212,9 +237,10 @@ void load_assignment(CheckpointReader& r, AssignmentArray& assignment) {
   if (r.get_u64() != assignment.size()) {
     throw IoError("checkpoint: assignment size mismatch");
   }
-  for (std::size_t u = 0; u < assignment.size(); ++u) {
+  const char* in = r.take(assignment.size() * sizeof(BlockId));
+  for (std::size_t u = 0; u < assignment.size(); ++u, in += sizeof(BlockId)) {
     BlockId b = kInvalidBlock;
-    r.get_raw(&b, sizeof b);
+    std::memcpy(&b, in, sizeof b);
     assignment.store(static_cast<NodeId>(u), b);
   }
 }
@@ -289,11 +315,11 @@ void SnapshotSchedule::at_boundary(std::size_t nodes) {
   meta.nodes_streamed = streamed_;
   meta.input_offset = stream_.next_offset();
   meta.input_line_no = stream_.line_no();
-  CheckpointWriter w;
-  if (!save_(w)) {
+  writer_.clear();
+  if (!save_(writer_)) {
     throw unsupported(plan_.checkpoint_algo);
   }
-  write_checkpoint_file(plan_.checkpoint_path, meta, w.bytes());
+  write_checkpoint_file(plan_.checkpoint_path, meta, writer_.bytes());
   // The deterministic stand-in for kill -9: the snapshot is durable, the
   // process dies before consuming another batch.
   if (fault_fires(FaultSite::kCheckpointDie)) {

@@ -49,6 +49,12 @@ public:
   void put_f64(double v) { put_raw(&v, sizeof v); }
   void put_string(const std::string& s);
   void put_raw(const void* data, std::size_t bytes);
+  /// Append \p bytes zeroed bytes and return where they start, for callers
+  /// that fill a large field in place.
+  [[nodiscard]] char* grow(std::size_t bytes);
+  /// Drop the contents but keep the capacity, so a writer reused across
+  /// snapshots allocates (and page-faults) its buffer once.
+  void clear() noexcept { buf_.clear(); }
 
   [[nodiscard]] const std::vector<char>& bytes() const noexcept { return buf_; }
 
@@ -71,6 +77,9 @@ public:
   [[nodiscard]] double get_f64() { return get<double>(); }
   [[nodiscard]] std::string get_string();
   void get_raw(void* out, std::size_t bytes);
+  /// Consume the next \p bytes and return where they start, for callers that
+  /// decode a large field in place.
+  [[nodiscard]] const char* take(std::size_t bytes);
 
   [[nodiscard]] std::size_t remaining() const noexcept {
     return static_cast<std::size_t>(end_ - cur_);
@@ -107,8 +116,9 @@ struct CheckpointState {
   std::vector<char> payload;
 };
 
-/// Atomically (write-then-rename) persist a checkpoint. Throws IoError on any
-/// filesystem failure.
+/// Atomically (write-then-rename) persist a checkpoint: the header, then
+/// \p payload straight from the caller's buffer, CRC'd as they are written.
+/// Throws IoError on any filesystem failure.
 void write_checkpoint_file(const std::string& path, const CheckpointMeta& meta,
                            const std::vector<char>& payload);
 
@@ -167,6 +177,7 @@ private:
   MetisNodeStream& stream_;
   BlockId k_;
   Save save_;
+  CheckpointWriter writer_; ///< reused by every snapshot of the run
   std::uint64_t streamed_ = 0;
   std::uint64_t next_snapshot_;
 };

@@ -4,9 +4,10 @@
 ///        (stream/checkpoint) append a checksum so truncation and bit flips
 ///        surface as a clean oms::IoError instead of silently read garbage.
 ///
-/// Table-driven, one byte per step — these files are written once per
-/// checkpoint interval and read once per resume, so simplicity beats a
-/// slice-by-8 implementation here. The table is built at compile time.
+/// Slice-by-8: eight 256-entry tables fold eight input bytes per step, about
+/// 5x faster than one byte per step. That matters because every checkpoint
+/// snapshot is CRC'd in full (megabytes per snapshot on large streams), as are
+/// artifact and graph-cache loads. The tables are built at compile time.
 #pragma once
 
 #include <array>
@@ -17,19 +18,36 @@ namespace oms {
 
 namespace detail {
 
-[[nodiscard]] consteval std::array<std::uint32_t, 256> make_crc32_table() {
-  std::array<std::uint32_t, 256> table{};
+using Crc32Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/// tables[0] is the classic byte-at-a-time table; tables[s][i] is the CRC
+/// contribution of byte i followed by s zero bytes.
+[[nodiscard]] consteval Crc32Tables make_crc32_tables() {
+  Crc32Tables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc >> 1) ^ ((crc & 1U) != 0 ? 0xEDB88320U : 0U);
     }
-    table[i] = crc;
+    tables[0][i] = crc;
   }
-  return table;
+  for (std::size_t s = 1; s < 8; ++s) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[s - 1][i];
+      tables[s][i] = (prev >> 8) ^ tables[0][prev & 0xFFU];
+    }
+  }
+  return tables;
 }
 
-inline constexpr std::array<std::uint32_t, 256> kCrc32Table = make_crc32_table();
+inline constexpr Crc32Tables kCrc32Tables = make_crc32_tables();
+
+/// Little-endian 32-bit load; compiles to one load on little-endian targets.
+[[nodiscard]] inline std::uint32_t load_le32(const unsigned char* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
+}
 
 } // namespace detail
 
@@ -39,9 +57,17 @@ inline constexpr std::array<std::uint32_t, 256> kCrc32Table = make_crc32_table()
 
 [[nodiscard]] inline std::uint32_t crc32_update(std::uint32_t crc, const void* data,
                                                 std::size_t bytes) noexcept {
+  const auto& t = detail::kCrc32Tables;
   const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    crc = (crc >> 8) ^ detail::kCrc32Table[(crc ^ p[i]) & 0xFFU];
+  for (; bytes >= 8; bytes -= 8, p += 8) {
+    const std::uint32_t lo = detail::load_le32(p) ^ crc;
+    const std::uint32_t hi = detail::load_le32(p + 4);
+    crc = t[7][lo & 0xFFU] ^ t[6][(lo >> 8) & 0xFFU] ^ t[5][(lo >> 16) & 0xFFU] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFFU] ^ t[2][(hi >> 8) & 0xFFU] ^
+          t[1][(hi >> 16) & 0xFFU] ^ t[0][hi >> 24];
+  }
+  for (; bytes > 0; --bytes, ++p) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *p) & 0xFFU];
   }
   return crc;
 }

@@ -200,6 +200,8 @@ TEST_F(CheckpointTest, CorruptTruncatedAndForeignFilesAllThrow) {
   // Missing entirely.
   std::remove(path.c_str());
   EXPECT_THROW((void)read_checkpoint_file(path), IoError);
+  // A directory: opens fine on Linux but has no readable length.
+  EXPECT_THROW((void)read_checkpoint_file(::testing::TempDir()), IoError);
   std::remove(good.c_str());
 }
 
@@ -318,6 +320,51 @@ TEST_F(CheckpointTest, PayloadAlgorithmMismatchSurfacesCleanly) {
   resume.resume = &state;
   EXPECT_THROW((void)run_algo("fennel", resume), IoError);
   std::remove(ckpt_path.c_str());
+}
+
+// --- format pins -------------------------------------------------------------
+
+/// FNV-1a over a whole file's bytes.
+[[nodiscard]] std::uint64_t file_fnv1a(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::istreambuf_iterator<char> it(in), end; it != end; ++it) {
+    h ^= static_cast<unsigned char>(*it);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST_F(CheckpointTest, SnapshotFileBytesArePinned) {
+  // The final OMSCKPT1 file of a full checkpointing run, hashed byte for byte:
+  // header, payload layout and CRC cannot drift without this failing.
+  const std::string path = temp_path("pin.bin");
+  const auto pin_of = [&](const auto& run) {
+    std::remove(path.c_str());
+    run();
+    const std::uint64_t h = file_fnv1a(path);
+    std::remove(path.c_str());
+    return h;
+  };
+
+  for (const bool multilevel : {false, true}) {
+    BufferedConfig config;
+    config.buffer_size = 200;
+    config.seed = kSeed;
+    if (multilevel) {
+      config.engine = BufferedEngine::kMultilevel;
+    }
+    const std::string algo = buffered_checkpoint_algo_id(config);
+    const std::uint64_t h = pin_of([&] {
+      (void)buffered_partition_from_file(*graph_path_, kK, config,
+                                         snapshot_plan(algo, path, 500));
+    });
+    EXPECT_EQ(h, multilevel ? 0x78d7c5159800df34ULL : 0xdd968ab3b18d83deULL)
+        << algo << std::hex << " 0x" << h;
+  }
+  const std::uint64_t h =
+      pin_of([&] { (void)run_algo("oms", snapshot_plan("oms", path, 400)); });
+  EXPECT_EQ(h, 0x0de858b029def951ULL) << "oms" << std::hex << " 0x" << h;
 }
 
 TEST_F(CheckpointTest, WindowRefusesCheckpointingWithCleanError) {
