@@ -131,6 +131,10 @@ void print_summary(const oms::PartitionRequest& req,
               << artifact.skip_stats.first_line << ": "
               << artifact.skip_stats.first_message << "\n";
   }
+  if (artifact.resume_ignored_tail_bytes > 0) {
+    std::cerr << "note: ignored " << artifact.resume_ignored_tail_bytes
+              << " torn bytes at the end of " << req.resume << "\n";
+  }
   if (artifact.edge_partition) {
     std::cout << "streamed " << artifact.num_edges << " edges over "
               << artifact.num_nodes << " vertices from disk"

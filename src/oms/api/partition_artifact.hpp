@@ -63,6 +63,10 @@ struct PartitionArtifact {
   /// Merged work counters of the producing run (node one-pass routes only;
   /// all-zero elsewhere); transient, not serialized.
   WorkCounters work;
+  /// Torn bytes past the last intact snapshot of the --resume journal, which
+  /// the run fell back from (CheckpointState::ignored_tail_bytes); transient,
+  /// not serialized.
+  std::uint64_t resume_ignored_tail_bytes = 0;
 
   /// O(1) lookup: block of item \p v (node id, or edge index for vertex-cut
   /// artifacts). kInvalidBlock for out-of-range ids — callers that must

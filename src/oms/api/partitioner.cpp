@@ -246,6 +246,7 @@ void validate_tuning(const PartitionRequest& req) {
       throw InvalidRequest(e.what());
     }
     plan.resume = &*resume_state;
+    artifact.resume_ignored_tail_bytes = resume_state->ignored_tail_bytes;
   }
   // The header announces the stream size up front — that is what turns the
   // --progress heartbeat from a plain rate into percent-done + ETA.

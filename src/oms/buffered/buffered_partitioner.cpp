@@ -542,8 +542,16 @@ std::vector<BlockId> BufferedPartitioner::take_assignment() {
   return std::move(assignment_);
 }
 
+void BufferedPartitioner::save_assignment_slots(CheckpointWriter& w, NodeId begin,
+                                                NodeId end) const {
+  oms::save_assignment_slots(w, assignment_, begin, end);
+}
+
 void BufferedPartitioner::save_stream_state(CheckpointWriter& w) const {
-  save_assignment(w, assignment_);
+  save_full_state(w, *this, static_cast<NodeId>(assignment_.size()));
+}
+
+void BufferedPartitioner::save_stream_extras(CheckpointWriter& w) const {
   w.put_u64(block_weight_.size());
   for (const NodeWeight bw : block_weight_) {
     w.put_i64(bw);

@@ -118,7 +118,12 @@ public:
   /// cross-buffer state is the assignment prefix, the block weights (the
   /// cached penalties are recomputed on load), buffers_processed_ (the
   /// multilevel engine's per-buffer RNG salt) and the engine's adaptive
-  /// backoff. Everything else is per-buffer arena scratch.
+  /// backoff. Everything else is per-buffer arena scratch. As for the
+  /// one-pass assigners (OnePassAssigner::save_stream_state), the state
+  /// splits into the assignment slots [begin, end) and the extras, and
+  /// save_stream_state writes the full payload of both.
+  void save_assignment_slots(CheckpointWriter& w, NodeId begin, NodeId end) const;
+  void save_stream_extras(CheckpointWriter& w) const;
   void save_stream_state(CheckpointWriter& w) const;
   void load_stream_state(CheckpointReader& r);
 

@@ -324,9 +324,18 @@ std::uint64_t OnlineMultisection::state_bytes() const noexcept {
                                     sizeof(MultisectionTree::Block));
 }
 
-bool OnlineMultisection::save_stream_state(CheckpointWriter& w) const {
-  save_assignment(w, assignment_);
+void OnlineMultisection::save_assignment_slots(CheckpointWriter& w, NodeId begin,
+                                               NodeId end) const {
+  oms::save_assignment_slots(w, assignment_, begin, end);
+}
+
+bool OnlineMultisection::save_stream_extras(CheckpointWriter& w) const {
   save_block_weights(w, weights_);
+  return true;
+}
+
+bool OnlineMultisection::save_stream_state(CheckpointWriter& w) const {
+  save_full_state(w, *this, static_cast<NodeId>(assignment_.size()));
   return true;
 }
 

@@ -77,6 +77,9 @@ public:
 
   // Checkpoint/resume: assignment + per-tree-block weights; the tree and the
   // descent are deterministic functions of the config.
+  void save_assignment_slots(CheckpointWriter& w, NodeId begin,
+                             NodeId end) const override;
+  [[nodiscard]] bool save_stream_extras(CheckpointWriter& w) const override;
   [[nodiscard]] bool save_stream_state(CheckpointWriter& w) const override;
   [[nodiscard]] bool load_stream_state(CheckpointReader& r) override;
 

@@ -140,9 +140,18 @@ std::uint64_t FennelPartitioner::state_bytes() const noexcept {
          static_cast<std::uint64_t>(weights_.size() * sizeof(NodeWeight));
 }
 
-bool FennelPartitioner::save_stream_state(CheckpointWriter& w) const {
-  save_assignment(w, assignment_);
+void FennelPartitioner::save_assignment_slots(CheckpointWriter& w, NodeId begin,
+                                              NodeId end) const {
+  oms::save_assignment_slots(w, assignment_, begin, end);
+}
+
+bool FennelPartitioner::save_stream_extras(CheckpointWriter& w) const {
   save_block_weights(w, weights_);
+  return true;
+}
+
+bool FennelPartitioner::save_stream_state(CheckpointWriter& w) const {
+  save_full_state(w, *this, static_cast<NodeId>(assignment_.size()));
   return true;
 }
 

@@ -45,6 +45,9 @@ public:
 
   // Checkpoint/resume: assignment + block weights; alpha/gamma/caches are
   // config-derived and rebuilt by the constructor.
+  void save_assignment_slots(CheckpointWriter& w, NodeId begin,
+                             NodeId end) const override;
+  [[nodiscard]] bool save_stream_extras(CheckpointWriter& w) const override;
   [[nodiscard]] bool save_stream_state(CheckpointWriter& w) const override;
   [[nodiscard]] bool load_stream_state(CheckpointReader& r) override;
 

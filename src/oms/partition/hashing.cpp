@@ -52,9 +52,18 @@ std::uint64_t HashingPartitioner::state_bytes() const noexcept {
                                     weights_.size() * sizeof(NodeWeight));
 }
 
-bool HashingPartitioner::save_stream_state(CheckpointWriter& w) const {
-  save_assignment(w, assignment_);
+void HashingPartitioner::save_assignment_slots(CheckpointWriter& w, NodeId begin,
+                                               NodeId end) const {
+  oms::save_assignment_slots(w, assignment_, begin, end);
+}
+
+bool HashingPartitioner::save_stream_extras(CheckpointWriter& w) const {
   save_block_weights(w, weights_);
+  return true;
+}
+
+bool HashingPartitioner::save_stream_state(CheckpointWriter& w) const {
+  save_full_state(w, *this, static_cast<NodeId>(assignment_.size()));
   return true;
 }
 

@@ -37,6 +37,9 @@ public:
 
   // Checkpoint/resume: assignment + block weights are the whole cross-node
   // state (the hash itself is stateless in the seed).
+  void save_assignment_slots(CheckpointWriter& w, NodeId begin,
+                             NodeId end) const override;
+  [[nodiscard]] bool save_stream_extras(CheckpointWriter& w) const override;
   [[nodiscard]] bool save_stream_state(CheckpointWriter& w) const override;
   [[nodiscard]] bool load_stream_state(CheckpointReader& r) override;
 

@@ -32,6 +32,9 @@ public:
   [[nodiscard]] std::uint64_t state_bytes() const noexcept;
 
   // Checkpoint/resume: assignment + block weights (scratch is per-node).
+  void save_assignment_slots(CheckpointWriter& w, NodeId begin,
+                             NodeId end) const override;
+  [[nodiscard]] bool save_stream_extras(CheckpointWriter& w) const override;
   [[nodiscard]] bool save_stream_state(CheckpointWriter& w) const override;
   [[nodiscard]] bool load_stream_state(CheckpointReader& r) override;
 

@@ -26,8 +26,11 @@ BufferedResult buffered_partition_from_file(const std::string& path, BlockId k,
                            config);
   SnapshotSchedule snapshots(
       plan, stream, k,
+      [&](CheckpointWriter& w, NodeId begin, NodeId end) {
+        core.save_assignment_slots(w, begin, end);
+      },
       [&](CheckpointWriter& w) {
-        core.save_stream_state(w);
+        core.save_stream_extras(w);
         return true;
       },
       [&](CheckpointReader& r) {

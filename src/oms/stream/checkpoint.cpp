@@ -25,8 +25,15 @@ namespace {
 
 /// "OMSCKPT1" little-endian.
 constexpr std::uint64_t kCheckpointMagic = 0x3154504B43534D4FULL;
-constexpr std::uint32_t kCheckpointVersion = 1;
+constexpr std::uint32_t kSnapshotVersion = 1; ///< one full snapshot
+constexpr std::uint32_t kJournalVersion = 2;  ///< header + appended segments
 constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
+/// A segment's fixed fields: nodes_streamed, input_offset, input_line_no.
+constexpr std::size_t kSegmentFields = 3 * sizeof(std::uint64_t);
+/// What a segment adds around its slots and extras: the fixed fields, the
+/// extras length and the CRC.
+constexpr std::size_t kSegmentOverhead =
+    kSegmentFields + sizeof(std::uint64_t) + sizeof(std::uint32_t);
 
 struct FileCloser {
   void operator()(std::FILE* f) const noexcept { std::fclose(f); }
@@ -57,6 +64,108 @@ void put_meta(CheckpointWriter& w, const CheckpointMeta& meta) {
 
 [[nodiscard]] IoError unsupported(const std::string& algo) {
   return IoError("algorithm '" + algo + "' does not support checkpoint/resume");
+}
+
+/// Write the first \p bytes of \p data to \p file (named \p name), flushed.
+void write_flushed(std::FILE* file, const std::string& name,
+                   const std::vector<char>& data, std::size_t bytes) {
+  if (std::fwrite(data.data(), 1, bytes, file) != bytes || std::fflush(file) != 0) {
+    throw IoError("write error on checkpoint file '" + name + "'");
+  }
+}
+
+/// The state of the last intact segment of the journal in \p bytes, whose
+/// magic and version the caller checked: the version-1 payload it stands
+/// for, with every slot no segment reached still unassigned.
+[[nodiscard]] CheckpointState replay_journal(const std::string& path,
+                                             const std::vector<char>& bytes) {
+  CheckpointState state;
+  CheckpointReader r(bytes);
+  std::size_t header_len = 0;
+  std::uint32_t header_crc = 0;
+  try {
+    (void)r.get_u64();
+    (void)r.get_u32();
+    state.meta.algo = r.get_string();
+    state.meta.k = r.get_u64();
+    state.meta.seed = r.get_u64();
+    state.meta.num_nodes = r.get_u64();
+    header_len = bytes.size() - r.remaining();
+    header_crc = r.get_u32();
+  } catch (const IoError&) {
+    throw IoError("checkpoint '" + path + "': truncated journal header");
+  }
+  if (crc32(bytes.data(), header_len) != header_crc) {
+    throw IoError("checkpoint '" + path + "': journal header CRC mismatch");
+  }
+  const std::uint64_t n = state.meta.num_nodes;
+  if (n > std::numeric_limits<NodeId>::max()) {
+    throw IoError("checkpoint '" + path + "': node count out of range");
+  }
+
+  // Validate every segment before copying anything: the slots of each intact
+  // one land at [previous nodes_streamed, nodes_streamed).
+  struct Slots {
+    const char* from;
+    std::uint64_t begin;
+    std::uint64_t count;
+  };
+  std::vector<Slots> slots;
+  const char* extras = nullptr;
+  std::uint64_t extras_len = 0;
+  std::uint64_t covered = 0;
+  std::size_t intact_end = bytes.size() - r.remaining();
+  while (r.remaining() >= kSegmentOverhead) {
+    const char* segment = bytes.data() + intact_end;
+    const std::uint64_t streamed = r.get_u64();
+    const std::uint64_t offset = r.get_u64();
+    const std::uint64_t line_no = r.get_u64();
+    if (streamed < covered || streamed > n) {
+      break;
+    }
+    const std::uint64_t slot_bytes = (streamed - covered) * sizeof(BlockId);
+    if (r.remaining() < slot_bytes + kSegmentOverhead - kSegmentFields) {
+      break;
+    }
+    const char* from = r.take(slot_bytes);
+    const std::uint64_t len = r.get_u64();
+    if (r.remaining() < sizeof(std::uint32_t) ||
+        len > r.remaining() - sizeof(std::uint32_t)) {
+      break;
+    }
+    const char* segment_extras = r.take(len);
+    const std::size_t segment_len = kSegmentFields + slot_bytes + sizeof len + len;
+    if (crc32(segment, segment_len) != r.get_u32()) {
+      break;
+    }
+    slots.push_back({from, covered, streamed - covered});
+    extras = segment_extras;
+    extras_len = len;
+    covered = streamed;
+    state.meta.nodes_streamed = streamed;
+    state.meta.input_offset = offset;
+    state.meta.input_line_no = line_no;
+    intact_end = bytes.size() - r.remaining();
+  }
+  if (slots.empty()) {
+    throw IoError("checkpoint '" + path +
+                  "': no intact snapshot segment (truncated or corrupt)");
+  }
+  state.ignored_tail_bytes = bytes.size() - intact_end;
+
+  static_assert(kInvalidBlock == -1, "unassigned slots are all-ones bytes");
+  const std::size_t assignment_bytes = static_cast<std::size_t>(n) * sizeof(BlockId);
+  state.payload.resize(sizeof n + assignment_bytes + extras_len);
+  char* out = state.payload.data();
+  std::memcpy(out, &n, sizeof n);
+  out += sizeof n;
+  std::memset(out + covered * sizeof(BlockId), 0xFF,
+              assignment_bytes - covered * sizeof(BlockId));
+  for (const Slots& s : slots) {
+    std::memcpy(out + s.begin * sizeof(BlockId), s.from, s.count * sizeof(BlockId));
+  }
+  std::memcpy(out + assignment_bytes, extras, extras_len);
+  return state;
 }
 
 } // namespace
@@ -116,7 +225,7 @@ void write_checkpoint_file(const std::string& path, const CheckpointMeta& meta,
   const telemetry::TraceSpan span(telemetry::Hist::kStageCheckpointWrite);
   CheckpointWriter header;
   header.put_u64(kCheckpointMagic);
-  header.put_u32(kCheckpointVersion);
+  header.put_u32(kSnapshotVersion);
   put_meta(header, meta);
   header.put_u64(payload.size());
 
@@ -180,10 +289,15 @@ CheckpointState read_checkpoint_file(const std::string& path) {
   if (r.get_u64() != kCheckpointMagic) {
     throw IoError("checkpoint '" + path + "': bad magic (not a checkpoint file)");
   }
-  if (const std::uint32_t version = r.get_u32(); version != kCheckpointVersion) {
+  const std::uint32_t version = r.get_u32();
+  if (version == kJournalVersion) {
+    return replay_journal(path, bytes);
+  }
+  if (version != kSnapshotVersion) {
     throw IoError("checkpoint '" + path + "': unsupported version " +
                   std::to_string(version) + " (expected " +
-                  std::to_string(kCheckpointVersion) + ")");
+                  std::to_string(kSnapshotVersion) + " or " +
+                  std::to_string(kJournalVersion) + ")");
   }
   if (crc32(bytes.data(), body) != stored_crc) {
     throw IoError("checkpoint '" + path + "': CRC mismatch (truncated or corrupt)");
@@ -224,11 +338,12 @@ void validate_resume(const CheckpointMeta& meta, const std::string& algo,
   }
 }
 
-void save_assignment(CheckpointWriter& w, const AssignmentArray& assignment) {
-  w.put_u64(assignment.size());
-  char* out = w.grow(assignment.size() * sizeof(BlockId));
-  for (std::size_t u = 0; u < assignment.size(); ++u, out += sizeof(BlockId)) {
-    const BlockId b = assignment.load(static_cast<NodeId>(u));
+void save_assignment_slots(CheckpointWriter& w, const AssignmentArray& assignment,
+                           NodeId begin, NodeId end) {
+  OMS_ASSERT(begin <= end && end <= assignment.size());
+  char* out = w.grow(std::size_t{end - begin} * sizeof(BlockId));
+  for (NodeId u = begin; u < end; ++u, out += sizeof(BlockId)) {
+    const BlockId b = assignment.load(u);
     std::memcpy(out, &b, sizeof b);
   }
 }
@@ -245,9 +360,10 @@ void load_assignment(CheckpointReader& r, AssignmentArray& assignment) {
   }
 }
 
-void save_assignment(CheckpointWriter& w, const std::vector<BlockId>& assignment) {
-  w.put_u64(assignment.size());
-  w.put_raw(assignment.data(), assignment.size() * sizeof(BlockId));
+void save_assignment_slots(CheckpointWriter& w, const std::vector<BlockId>& assignment,
+                           NodeId begin, NodeId end) {
+  OMS_ASSERT(begin <= end && end <= assignment.size());
+  w.put_raw(assignment.data() + begin, std::size_t{end - begin} * sizeof(BlockId));
 }
 
 void load_assignment(CheckpointReader& r, std::vector<BlockId>& assignment) {
@@ -275,9 +391,10 @@ void load_block_weights(CheckpointReader& r, BlockWeights& weights) {
 }
 
 SnapshotSchedule::SnapshotSchedule(const StreamPlan& plan, MetisNodeStream& stream,
-                                   BlockId k, Save save, const Load& load)
-    : plan_(plan), stream_(stream), k_(k), save_(std::move(save)),
-      next_snapshot_(kNever) {
+                                   BlockId k, SaveSlots save_slots,
+                                   SaveExtras save_extras, const Load& load)
+    : plan_(plan), stream_(stream), k_(k), save_slots_(std::move(save_slots)),
+      save_extras_(std::move(save_extras)), next_snapshot_(kNever) {
   if (plan.resume != nullptr) {
     CheckpointReader r(plan.resume->payload);
     if (!load(r)) {
@@ -307,19 +424,63 @@ void SnapshotSchedule::at_boundary(std::size_t nodes) {
   if (streamed_ < next_snapshot_) {
     return;
   }
-  CheckpointMeta meta;
-  meta.algo = plan_.checkpoint_algo;
-  meta.k = static_cast<std::uint64_t>(k_);
-  meta.seed = plan_.checkpoint_seed;
-  meta.num_nodes = stream_.header().num_nodes;
-  meta.nodes_streamed = streamed_;
-  meta.input_offset = stream_.next_offset();
-  meta.input_line_no = stream_.line_no();
-  writer_.clear();
-  if (!save_(writer_)) {
+  const telemetry::TraceSpan span(telemetry::Hist::kStageCheckpointWrite);
+  extras_.clear();
+  if (!save_extras_(extras_)) {
     throw unsupported(plan_.checkpoint_algo);
   }
-  write_checkpoint_file(plan_.checkpoint_path, meta, writer_.bytes());
+  const bool first = journal_ == nullptr;
+  CheckpointWriter header;
+  if (first) {
+    header.put_u64(kCheckpointMagic);
+    header.put_u32(kJournalVersion);
+    header.put_string(plan_.checkpoint_algo);
+    header.put_u64(static_cast<std::uint64_t>(k_));
+    header.put_u64(plan_.checkpoint_seed);
+    header.put_u64(stream_.header().num_nodes);
+    header.put_u32(crc32(header.bytes().data(), header.bytes().size()));
+  }
+  writer_.clear();
+  writer_.make_room(header.bytes().size() + kSegmentOverhead +
+                    (streamed_ - journaled_) * sizeof(BlockId) + extras_.bytes().size());
+  writer_.put_raw(header.bytes().data(), header.bytes().size());
+  const std::size_t segment_at = writer_.bytes().size();
+  writer_.put_u64(streamed_);
+  writer_.put_u64(stream_.next_offset());
+  writer_.put_u64(stream_.line_no());
+  save_slots_(writer_, static_cast<NodeId>(journaled_), static_cast<NodeId>(streamed_));
+  writer_.put_u64(extras_.bytes().size());
+  writer_.put_raw(extras_.bytes().data(), extras_.bytes().size());
+  writer_.put_u32(crc32(writer_.bytes().data() + segment_at,
+                        writer_.bytes().size() - segment_at));
+
+  // tmp + rename for the first snapshot: a crash mid-write can only lose the
+  // snapshot in progress, never corrupt the file in place (which a resumed
+  // run may have read). Later segments append through the same handle.
+  const std::string tmp = plan_.checkpoint_path + ".tmp";
+  if (first) {
+    journal_.reset(std::fopen(tmp.c_str(), "wb"));
+    if (journal_ == nullptr) {
+      throw IoError("cannot open checkpoint file '" + tmp + "' for writing");
+    }
+  }
+  // The deterministic stand-in for a crash mid-write: half the snapshot
+  // lands, then the process dies.
+  const bool torn = fault_fires(FaultSite::kCheckpointTorn);
+  const std::size_t bytes = torn ? writer_.bytes().size() / 2 : writer_.bytes().size();
+  write_flushed(journal_.get(), first ? tmp : plan_.checkpoint_path, writer_.bytes(),
+                bytes);
+  if (torn) {
+    throw IoError("injected crash during checkpoint at node " +
+                  std::to_string(streamed_));
+  }
+  if (first && std::rename(tmp.c_str(), plan_.checkpoint_path.c_str()) != 0) {
+    throw IoError("cannot move checkpoint into place at '" + plan_.checkpoint_path +
+                  "'");
+  }
+  journaled_ = streamed_;
+  telemetry::metric_add(telemetry::Counter::kCheckpointSnapshots);
+  telemetry::metric_add(telemetry::Counter::kCheckpointBytes, bytes);
   // The deterministic stand-in for kill -9: the snapshot is durable, the
   // process dies before consuming another batch.
   if (fault_fires(FaultSite::kCheckpointDie)) {

@@ -54,10 +54,20 @@ public:
 
   /// Checkpoint support (stream/checkpoint.hpp): serialize / restore every
   /// piece of state that is not derivable from the construction config, so a
-  /// resumed pass continues bit-identically. Both default to "unsupported"
-  /// (return false); the snapshot schedule turns that into a clean IoError.
-  /// load_stream_state is called after prepare() on a freshly constructed
-  /// assigner with identical config.
+  /// resumed pass continues bit-identically. The state has two parts: the
+  /// assignment, whose slots never change once the stream has passed them
+  /// (save_assignment_slots writes [begin, end), what a journal segment
+  /// appends), and the extras, everything else (save_stream_extras).
+  /// save_stream_state writes the full payload of both (save_full_state),
+  /// which load_stream_state reads back. The saves default to "unsupported"
+  /// (no slots, return false); the snapshot schedule turns that into a clean
+  /// IoError. load_stream_state is called after prepare() on a freshly
+  /// constructed assigner with identical config.
+  virtual void save_assignment_slots(CheckpointWriter& /*writer*/, NodeId /*begin*/,
+                                     NodeId /*end*/) const {}
+  [[nodiscard]] virtual bool save_stream_extras(CheckpointWriter& /*writer*/) const {
+    return false;
+  }
   [[nodiscard]] virtual bool save_stream_state(CheckpointWriter& /*writer*/) const {
     return false;
   }

@@ -20,7 +20,10 @@ StreamResult run_one_pass_from_file(const std::string& path,
   assigner.prepare(consumers);
   SnapshotSchedule snapshots(
       plan, stream, assigner.num_blocks(),
-      [&](CheckpointWriter& w) { return assigner.save_stream_state(w); },
+      [&](CheckpointWriter& w, NodeId begin, NodeId end) {
+        assigner.save_assignment_slots(w, begin, end);
+      },
+      [&](CheckpointWriter& w) { return assigner.save_stream_extras(w); },
       [&](CheckpointReader& r) { return assigner.load_stream_state(r); });
 
   StreamResult result;

@@ -17,8 +17,8 @@ constexpr const char* kSiteNames[kNumSites] = {
     "read.transient", "read.error",   "read.short",
     "read.corrupt",   "queue.delay",  "fill.delay",
     "consume.throw",  "thread.spawn", "checkpoint.die",
-    "svc.accept",     "svc.read",     "svc.write",
-    "svc.slow",
+    "checkpoint.torn", "svc.accept",  "svc.read",
+    "svc.write",      "svc.slow",
 };
 
 /// Backing storage for the armed plan. arm() copies into this slot so the
@@ -110,10 +110,10 @@ FaultPlan FaultPlan::seeded(std::uint64_t seed) {
   Rng rng(hash_combine(seed, 0x6661756c74ULL)); // "fault"
   const std::size_t num_faults = 1 + rng.next_below(3);
   for (std::size_t f = 0; f < num_faults; ++f) {
-    // kCheckpointDie is excluded: a seeded sweep has no resume harness, so a
-    // deliberate post-checkpoint crash would just look like a failure. The
-    // checkpoint tests schedule it explicitly instead. The svc.* sites live
-    // past it and are drawn by seeded_service only.
+    // kCheckpointDie and kCheckpointTorn are excluded: a seeded sweep has no
+    // resume harness, so a deliberate checkpoint crash would just look like a
+    // failure. The checkpoint tests schedule them explicitly instead. The
+    // svc.* sites live past them and are drawn by seeded_service only.
     const auto site = static_cast<std::size_t>(
         rng.next_below(static_cast<std::uint64_t>(FaultSite::kCheckpointDie)));
     Entry& entry = plan.entries_[site];

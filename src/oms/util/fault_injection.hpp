@@ -34,6 +34,7 @@ enum class FaultSite : std::uint8_t {
   kConsumeThrow,      ///< pipeline consumer: throws before consuming one batch
   kThreadSpawn,       ///< pipeline: spawning the producer thread fails
   kCheckpointDie,     ///< checkpoint driver: crash right after a snapshot landed
+  kCheckpointTorn,    ///< checkpoint driver: crash halfway through writing a snapshot
   kSvcAccept,         ///< service: one accepted connection dies before serving
   kSvcRead,           ///< service: one connection read fails hard (torn client)
   kSvcWrite,          ///< service: one reply write fails hard (client hung up)
@@ -56,8 +57,9 @@ public:
 
   /// Derive a small pseudo-random schedule (1-3 sites, early trigger counts)
   /// deterministically from \p seed — the unit the chaos sweeps iterate over.
-  /// Draws only from the streaming sites (everything before kCheckpointDie);
-  /// the service sweep uses seeded_service instead.
+  /// Draws only from the streaming sites (everything before kCheckpointDie,
+  /// so neither checkpoint crash site); the service sweep uses
+  /// seeded_service instead.
   [[nodiscard]] static FaultPlan seeded(std::uint64_t seed);
 
   /// Like seeded(), but over the transport sites of the service runtime

@@ -113,6 +113,35 @@ check_clean_error "chained final resume" 0 \
   "$tool" "$graph" --k 4 --algo fennel --resume "$ckpt" --output "$chain"
 check_identical "chained resume matches baseline" "$tmpdir/fennel_base.txt" "$chain"
 
+# A snapshot torn by a crash mid-append (here: the last 5 bytes of a
+# two-segment journal chopped off) falls back to the intact segment before
+# it: the resume succeeds, says so on stderr only, and matches the baseline.
+torn_ckpt="$tmpdir/torn.ckpt"
+check_clean_error "killed after second snapshot" 1 \
+  env OMS_FAULTS=checkpoint.die@2 \
+  "$tool" "$graph" --k 4 --algo fennel \
+  --checkpoint "$torn_ckpt" --checkpoint-every 512
+truncate -s -5 "$torn_ckpt"
+torn_out="$("$tool" "$graph" --k 4 --algo fennel --resume "$torn_ckpt" \
+  --output "$tmpdir/torn.txt" 2> "$tmpdir/torn.err")"
+if [ $? -ne 0 ]; then
+  echo "FAIL [resume from torn journal]: non-zero exit"
+  sed 's/^/    /' "$tmpdir/torn.err"
+  failures=$((failures + 1))
+elif ! grep -q "^note: ignored [0-9]* torn bytes at the end of $torn_ckpt\$" \
+     "$tmpdir/torn.err"; then
+  echo "FAIL [resume from torn journal]: no torn-bytes note on stderr"
+  sed 's/^/    /' "$tmpdir/torn.err"
+  failures=$((failures + 1))
+elif printf '%s' "$torn_out" | grep -q "note:"; then
+  echo "FAIL [resume from torn journal]: torn-bytes note leaked to stdout"
+  failures=$((failures + 1))
+else
+  echo "ok   [resume from torn journal]"
+fi
+check_identical "torn-journal resume matches baseline" \
+  "$tmpdir/fennel_base.txt" "$tmpdir/torn.txt"
+
 # --- resume validation: every refusal is exit 2 with error: -----------------
 
 good_ckpt="$tmpdir/fennel.ckpt" # written by the fennel kill above (k=4)

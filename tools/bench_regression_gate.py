@@ -15,6 +15,12 @@ gate. The residual blind spot (a change slowing *everything*, anchors
 included, uniformly) is covered by the uploaded artifact and perf review,
 not this gate; --no-normalize gives the raw same-machine comparison.
 
+Both files are recorded with --benchmark_repetitions=5 (README
+"Performance"): each entry's real_time is the median of its repetitions, so
+one noisy repetition cannot move the gate, and the table prints each side's
+spread ((max - min) / median of the repetitions) next to the ratio. A file
+with one repetition per entry still works; its spread reads 0%.
+
 Exit codes: 0 = within bounds (individual drifts above --warn emit GitHub
 warning annotations), 1 = normalized geomean regression above --fail,
 2 = usage/data error (missing files, no overlapping benchmarks).
@@ -32,25 +38,33 @@ the normalization anchors.
 import argparse
 import json
 import math
+import statistics
 import sys
 
 
 def load_benchmarks(path):
+    """Map each benchmark name to (median real_time, spread) over its
+    repetitions; the spread is (max - min) / median."""
     try:
         with open(path) as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         print(f"error: cannot read '{path}': {e}", file=sys.stderr)
         sys.exit(2)
-    entries = {}
+    times = {}
     for b in doc.get("benchmarks", []):
-        # Skip aggregate rows (mean/median/stddev of repeated runs).
+        # Skip aggregate rows (mean/median/stddev of repeated runs): the
+        # median is taken here, from the repetitions themselves.
         if b.get("run_type") == "aggregate":
             continue
-        name = b.get("name")
+        name = b.get("run_name", b.get("name"))
         time = b.get("real_time")
         if name is not None and isinstance(time, (int, float)) and time > 0:
-            entries[name] = float(time)
+            times.setdefault(name, []).append(float(time))
+    entries = {}
+    for name, values in times.items():
+        mid = statistics.median(values)
+        entries[name] = (mid, (max(values) - min(values)) / mid)
     return entries
 
 
@@ -95,7 +109,7 @@ def main():
         print(f"::warning title=bench gate coverage::{len(removed)} baseline "
               f"benchmark(s) no longer produced by this run: "
               f"{', '.join(removed)}")
-    ratios = {n: new[n] / base[n] for n in common}
+    ratios = {n: new[n][0] / base[n][0] for n in common}
     gated = [n for n in common if n.startswith(tuple(prefixes))]
     anchors = [n for n in common if not n.startswith(tuple(prefixes))]
     prefix_label = "|".join(prefixes)
@@ -111,12 +125,14 @@ def main():
     if not args.no_normalize and anchors:
         machine = geomean([ratios[n] for n in anchors])
 
-    print(f"{'benchmark':40s} {'baseline':>12s} {'new':>12s} {'ratio':>7s} {'norm':>7s}")
+    print(f"{'benchmark (medians)':40s} {'baseline':>12s} {'spread':>7s} "
+          f"{'new':>12s} {'spread':>7s} {'ratio':>7s} {'norm':>7s}")
     for name in common:
         norm = ratios[name] / machine
         in_gate = name.startswith(tuple(prefixes))
         marker = "  <-- slower" if in_gate and norm > 1 + args.warn else ""
-        print(f"{name:40s} {base[name]:12.0f} {new[name]:12.0f} "
+        print(f"{name:40s} {base[name][0]:12.0f} {100 * base[name][1]:6.1f}% "
+              f"{new[name][0]:12.0f} {100 * new[name][1]:6.1f}% "
               f"{ratios[name]:6.2f}x {norm:6.2f}x{marker}")
         if in_gate and norm > 1 + args.warn:
             # GitHub annotation; harmless plain text outside Actions.

@@ -63,6 +63,58 @@ kill_resume buffered_lp --algo buffered --buffer-size 512
 kill_resume buffered_ml --algo buffered --buffered-engine multilevel \
   --buffer-size 512
 
+# A torn journal tail: killed after the third snapshot, the last 5 bytes
+# chopped off, the resume falls back to the second and still matches.
+torn_tail() {
+  local base="$tmpdir/oms_base.txt"
+  local resumed="$tmpdir/torn_resumed.txt"
+  local ckpt="$tmpdir/torn.ckpt"
+  OMS_FAULTS=checkpoint.die@3 "$tool" "$graph" --k 4 --algo oms \
+    --checkpoint "$ckpt" --checkpoint-every 1024 > /dev/null 2>&1
+  if [ $? -ne 1 ]; then
+    echo "FAIL [torn tail]: injected crash did not exit 1"
+    failures=$((failures + 1))
+    return
+  fi
+  truncate -s -5 "$ckpt"
+  if ! "$tool" "$graph" --k 4 --algo oms --resume "$ckpt" \
+       --output "$resumed" > /dev/null 2>&1; then
+    echo "FAIL [torn tail]: resume run failed"
+    failures=$((failures + 1))
+  elif cmp -s "$base" "$resumed"; then
+    echo "ok   [torn tail resume bit-identical]"
+  else
+    echo "FAIL [torn tail]: resumed partition differs from baseline"
+    failures=$((failures + 1))
+  fi
+}
+torn_tail
+
+# The journal writes each node's slot once: snapshotting a 5000-node ring
+# every 256 nodes (19 snapshots) stays under twice one 4-byte slot per node,
+# in the file and in the bytes written (checkpoint.bytes).
+journal_size() {
+  local ckpt="$tmpdir/size.ckpt"
+  local metrics="$tmpdir/size_metrics.json"
+  local limit=$((2 * 4 * 5000))
+  if ! "$tool" "$graph" --k 4 --algo fennel --checkpoint "$ckpt" \
+       --checkpoint-every 256 --metrics-out "$metrics" > /dev/null 2>&1; then
+    echo "FAIL [journal size]: checkpointing run failed"
+    failures=$((failures + 1))
+    return
+  fi
+  local size written
+  size=$(wc -c < "$ckpt")
+  written=$(grep -o '"checkpoint.bytes": *[0-9]*' "$metrics" | grep -o '[0-9]*$')
+  if [ "$size" -lt "$limit" ] && [ -n "$written" ] && [ "$written" -lt "$limit" ]; then
+    echo "ok   [journal size: file $size, written ${written} bytes < $limit]"
+  else
+    echo "FAIL [journal size]: file $size, written ${written:-?} bytes, limit $limit"
+    failures=$((failures + 1))
+  fi
+}
+journal_size
+
 # Seeded chaos sweep over the plain drivers: clean failure or identical output.
 chaos_sweep() {
   local name="$1"
