@@ -18,6 +18,7 @@
 #include "oms/edgepart/driver.hpp"
 #include "oms/edgepart/hdrf.hpp"
 #include "oms/graph/generators.hpp"
+#include "oms/graph/graph_builder.hpp"
 #include "oms/graph/io.hpp"
 #include "oms/mapping/mapping_cost.hpp"
 #include "oms/partition/fennel.hpp"
@@ -177,13 +178,30 @@ void BM_MetisStreamRead(benchmark::State& state) {
 }
 BENCHMARK(BM_MetisStreamRead);
 
-void BM_LoadMetis(benchmark::State& state) {
-  // In-memory load of the same file: read_metis parses through the stream
-  // straight into the CSR arrays and proves them canonical in one pass, so
-  // this should stay a small constant above BM_MetisStreamRead.
-  const std::string path = "/tmp/oms_bench_micro_load." +
+/// The shared graph with edge weights 1..4, so its METIS file carries them.
+const CsrGraph& shared_weighted_graph() {
+  static const CsrGraph graph = [] {
+    const CsrGraph& unit = shared_graph();
+    GraphBuilder builder(unit.num_nodes());
+    for (NodeId u = 0; u < unit.num_nodes(); ++u) {
+      for (const NodeId v : unit.neighbors(u)) {
+        if (u < v) {
+          builder.add_edge(u, v, 1 + static_cast<EdgeWeight>((u ^ v) % 4));
+        }
+      }
+    }
+    return std::move(builder).build();
+  }();
+  return graph;
+}
+
+/// In-memory load of \p source's METIS file: read_metis parses through the
+/// stream straight into the CSR arrays and proves them canonical in one
+/// pass, so this should stay a small constant above BM_MetisStreamRead.
+void load_metis(benchmark::State& state, const CsrGraph& source, const char* tag) {
+  const std::string path = std::string("/tmp/oms_bench_micro_") + tag + "." +
                            std::to_string(::getpid()) + ".graph";
-  write_metis(shared_graph(), path);
+  write_metis(source, path);
   EdgeIndex arcs = 0;
   for (auto _ : state) {
     const CsrGraph graph = read_metis(path);
@@ -193,7 +211,18 @@ void BM_LoadMetis(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(arcs));
   std::remove(path.c_str());
 }
+
+void BM_LoadMetis(benchmark::State& state) {
+  // Unit weights: the loader stores no weight array.
+  load_metis(state, shared_graph(), "load");
+}
 BENCHMARK(BM_LoadMetis);
+
+void BM_LoadMetisWeighted(benchmark::State& state) {
+  // The same graph with explicit edge weights: the 2m-entry array path.
+  load_metis(state, shared_weighted_graph(), "load_weighted");
+}
+BENCHMARK(BM_LoadMetisWeighted);
 
 /// Disk-backed end-to-end partition runs: the sequential driver interleaves
 /// parse and assign on one core; the pipelined driver overlaps them with a

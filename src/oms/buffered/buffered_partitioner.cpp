@@ -508,7 +508,8 @@ void BufferedPartitioner::process_buffer(const NodeBatch& batch) {
   OMS_ASSERT_MSG(batch.first_id() + batch.size() <= assignment_.size(),
                  "batch extends past the announced node count");
   const std::span<const EdgeWeight> weights = batch.all_edge_weights();
-  const bool unit = std::all_of(weights.begin(), weights.end(),
+  const bool unit = batch.has_unit_edge_weights() ||
+                    std::all_of(weights.begin(), weights.end(),
                                 [](EdgeWeight w) { return w == 1; });
   dispatch_buffer(unit, batch.first_id(), static_cast<std::uint32_t>(batch.size()),
                   batch.num_arcs(),
@@ -524,12 +525,16 @@ void BufferedPartitioner::process_graph_range(const CsrGraph& graph, NodeId begi
                  "range extends past the announced node count");
   // Identical arcs in, identical partition out: the graph spans carry the
   // same values a NodeBatch parsed from the file would (parity-pinned).
-  const std::span<const EdgeWeight> adjwgt = graph.raw_adjwgt();
   const auto arcs_begin = static_cast<std::size_t>(graph.raw_xadj()[begin]);
   const auto arcs_end = static_cast<std::size_t>(graph.raw_xadj()[end]);
-  const bool unit =
-      std::all_of(adjwgt.begin() + arcs_begin, adjwgt.begin() + arcs_end,
-                  [](EdgeWeight w) { return w == 1; });
+  bool unit = true;
+  if (!graph.has_unit_edge_weights()) {
+    for (NodeId u = begin; u < end && unit; ++u) {
+      const std::span<const EdgeWeight> weights = graph.incident_weights(u);
+      unit = std::all_of(weights.begin(), weights.end(),
+                         [](EdgeWeight w) { return w == 1; });
+    }
+  }
   dispatch_buffer(unit, begin, end - begin, arcs_end - arcs_begin,
                   [&](std::uint32_t i) {
     const NodeId u = begin + i;

@@ -13,7 +13,8 @@ CsrGraph::CsrGraph(std::vector<EdgeIndex> xadj, std::vector<NodeId> adjncy,
   OMS_ASSERT_MSG(xadj_.size() == vwgt_.size() + 1, "xadj must have n+1 entries");
   OMS_ASSERT_MSG(xadj_.front() == 0, "xadj must start at 0");
   OMS_ASSERT_MSG(xadj_.back() == adjncy_.size(), "xadj must end at |adjncy|");
-  OMS_ASSERT_MSG(adjwgt_.size() == adjncy_.size(), "one weight per arc");
+  OMS_ASSERT_MSG(adjwgt_.empty() || adjwgt_.size() == adjncy_.size(),
+                 "one weight per arc");
   OMS_ASSERT_MSG(adjncy_.size() % 2 == 0, "arcs must pair up into undirected edges");
 
   for (const NodeWeight w : vwgt_) {
@@ -21,9 +22,15 @@ CsrGraph::CsrGraph(std::vector<EdgeIndex> xadj, std::vector<NodeId> adjncy,
     total_node_weight_ += w;
   }
   EdgeWeight arc_weight_sum = 0;
+  bool all_unit = true;
   for (const EdgeWeight w : adjwgt_) {
     OMS_ASSERT_MSG(w > 0, "edge weights must be positive");
     arc_weight_sum += w;
+    all_unit = all_unit && w == 1;
+  }
+  if (all_unit) {
+    std::vector<EdgeWeight>().swap(adjwgt_);
+    arc_weight_sum = static_cast<EdgeWeight>(adjncy_.size());
   }
   OMS_ASSERT_MSG(arc_weight_sum % 2 == 0, "asymmetric arc weights");
   total_edge_weight_ = arc_weight_sum / 2;
@@ -31,15 +38,16 @@ CsrGraph::CsrGraph(std::vector<EdgeIndex> xadj, std::vector<NodeId> adjncy,
   for (NodeId u = 0; u < num_nodes(); ++u) {
     max_degree_ = std::max(max_degree_, degree(u));
   }
+  if (all_unit) {
+    unit_weights_.assign(static_cast<std::size_t>(max_degree_), EdgeWeight{1});
+  }
   OMS_HEAVY_ASSERT((validate(), true));
 }
 
 bool CsrGraph::is_unit_weighted() const noexcept {
   const bool nodes_unit =
       std::all_of(vwgt_.begin(), vwgt_.end(), [](NodeWeight w) { return w == 1; });
-  const bool edges_unit =
-      std::all_of(adjwgt_.begin(), adjwgt_.end(), [](EdgeWeight w) { return w == 1; });
-  return nodes_unit && edges_unit;
+  return nodes_unit && has_unit_edge_weights();
 }
 
 void CsrGraph::validate() const {
@@ -69,7 +77,8 @@ std::uint64_t CsrGraph::memory_footprint_bytes() const noexcept {
   return static_cast<std::uint64_t>(xadj_.capacity() * sizeof(EdgeIndex) +
                                     adjncy_.capacity() * sizeof(NodeId) +
                                     adjwgt_.capacity() * sizeof(EdgeWeight) +
-                                    vwgt_.capacity() * sizeof(NodeWeight));
+                                    vwgt_.capacity() * sizeof(NodeWeight) +
+                                    unit_weights_.capacity() * sizeof(EdgeWeight));
 }
 
 } // namespace oms

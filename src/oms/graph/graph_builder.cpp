@@ -52,16 +52,19 @@ CsrGraph GraphBuilder::build() && {
   // Emitting in sorted (u, v) order leaves every list sorted: node x first
   // receives its lower neighbours (edges (w, x), ascending w), and only then
   // its higher ones (edges (x, v), ascending v) — the groups never interleave.
+  // Unit weights (after merging) stay implicit: no weight array at all.
+  const bool unit = std::all_of(edges_.begin(), edges_.end(),
+                                [](const Edge& e) { return e.w == 1; });
   std::vector<NodeId> adjncy(edges_.size() * 2);
-  std::vector<EdgeWeight> adjwgt(edges_.size() * 2);
+  std::vector<EdgeWeight> adjwgt(unit ? 0 : edges_.size() * 2);
   std::vector<EdgeIndex> cursor(xadj.begin(), xadj.end() - 1);
   for (const Edge& e : edges_) {
-    adjncy[cursor[e.u]] = e.v;
-    adjwgt[cursor[e.u]] = e.w;
-    ++cursor[e.u];
-    adjncy[cursor[e.v]] = e.u;
-    adjwgt[cursor[e.v]] = e.w;
-    ++cursor[e.v];
+    if (!unit) {
+      adjwgt[cursor[e.u]] = e.w;
+      adjwgt[cursor[e.v]] = e.w;
+    }
+    adjncy[cursor[e.u]++] = e.v;
+    adjncy[cursor[e.v]++] = e.u;
   }
 
   return CsrGraph(std::move(xadj), std::move(adjncy), std::move(adjwgt),

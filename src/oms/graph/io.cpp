@@ -38,13 +38,13 @@ constexpr std::uint64_t kBinaryMagicV2 = 0x4f4d5347'52415032ULL; // "OMSGRAP2"
 
 /// True when the parsed arrays already are exactly what GraphBuilder would
 /// make of them: 2m arcs, every list strictly increasing without self-loops,
-/// and every arc (u, v) matched by (v, u) with an equal weight. One
+/// and every arc (u, v) matched by (v, u) with an equal weight (an empty
+/// \p adjwgt means unit weights, which always match). One
 /// sequential O(n + m) pass: cursor[v] walks v's lower neighbours, which
 /// the nodes u < v must claim in ascending order, so when v comes up its
 /// cursor has to stand on its first higher neighbour.
 bool is_canonical(const std::vector<EdgeIndex>& xadj, const std::vector<NodeId>& adjncy,
-                  const std::vector<EdgeWeight>& adjwgt, EdgeIndex num_edges,
-                  bool unit_weights) {
+                  const std::vector<EdgeWeight>& adjwgt, EdgeIndex num_edges) {
   if (adjncy.size() != 2 * num_edges) {
     return false;
   }
@@ -59,7 +59,7 @@ bool is_canonical(const std::vector<EdgeIndex>& xadj, const std::vector<NodeId>&
       }
       EdgeIndex& slot = cursor[v];
       if (slot == xadj[v + 1] || adjncy[slot] != u ||
-          (!unit_weights && adjwgt[slot] != adjwgt[i])) {
+          (!adjwgt.empty() && adjwgt[slot] != adjwgt[i])) {
         return false; // v does not list u next, or lists it with another weight
       }
       ++slot;
@@ -81,15 +81,9 @@ void write_metis(const CsrGraph& graph, const std::string& path) {
   OMS_ASSERT_MSG(out.good(), "cannot open file for writing");
 
   bool node_weights = false;
-  bool edge_weights = false;
+  const bool edge_weights = !graph.has_unit_edge_weights();
   for (NodeId u = 0; u < graph.num_nodes() && !node_weights; ++u) {
     node_weights = graph.node_weight(u) != 1;
-  }
-  for (const EdgeWeight w : graph.raw_adjwgt()) {
-    if (w != 1) {
-      edge_weights = true;
-      break;
-    }
   }
 
   out << graph.num_nodes() << ' ' << graph.num_edges();
@@ -123,14 +117,7 @@ void write_edge_list(const CsrGraph& graph, const std::string& path) {
   std::ofstream out(path);
   OMS_ASSERT_MSG(out.good(), "cannot open file for writing");
 
-  bool edge_weights = false;
-  for (const EdgeWeight w : graph.raw_adjwgt()) {
-    if (w != 1) {
-      edge_weights = true;
-      break;
-    }
-  }
-
+  const bool edge_weights = !graph.has_unit_edge_weights();
   out << "# edge list of " << graph.num_nodes() << " nodes, "
       << graph.num_edges() << " edges\n";
   for (NodeId u = 0; u < graph.num_nodes(); ++u) {
@@ -170,18 +157,21 @@ CsrGraph read_metis(const std::string& path) {
       const auto arcs = static_cast<std::size_t>(
           std::min<std::uintmax_t>(2 * header.num_edges, bytes / 2 + 1));
       adjncy.reserve(arcs);
-      adjwgt.reserve(arcs);
+      if (header.has_edge_weights) {
+        adjwgt.reserve(arcs);
+      }
     }
   }
   xadj.push_back(0);
+  // An unweighted header leaves adjwgt empty: CsrGraph reads that as
+  // "every edge weight is 1" and never materialises the 2m ones.
   NodeWeight weight = 1;
   while (stream.next_into(weight, adjncy, adjwgt)) {
     vwgt.push_back(weight);
     xadj.push_back(adjncy.size());
   }
 
-  if (is_canonical(xadj, adjncy, adjwgt, header.num_edges,
-                   !header.has_edge_weights)) {
+  if (is_canonical(xadj, adjncy, adjwgt, header.num_edges)) {
     return CsrGraph(std::move(xadj), std::move(adjncy), std::move(adjwgt),
                     std::move(vwgt));
   }
@@ -194,7 +184,7 @@ CsrGraph read_metis(const std::string& path) {
     builder.set_node_weight(u, vwgt[u]);
     for (EdgeIndex i = xadj[u]; i < xadj[u + 1]; ++i) {
       if (u < adjncy[i]) {
-        builder.add_edge(u, adjncy[i], adjwgt[i]);
+        builder.add_edge(u, adjncy[i], adjwgt.empty() ? 1 : adjwgt[i]);
       }
     }
   }
@@ -228,7 +218,21 @@ void write_binary(const CsrGraph& graph, const std::string& path) {
   write_raw(&arcs, sizeof arcs);
   write_raw(graph.raw_xadj().data(), graph.raw_xadj().size() * sizeof(EdgeIndex));
   write_raw(graph.raw_adjncy().data(), graph.raw_adjncy().size() * sizeof(NodeId));
-  write_raw(graph.raw_adjwgt().data(), graph.raw_adjwgt().size() * sizeof(EdgeWeight));
+  if (graph.has_unit_edge_weights()) {
+    // The format always carries 2m weights; spell the implicit ones out so
+    // files stay byte-identical to those of an explicitly weighted graph.
+    const std::vector<EdgeWeight> ones(
+        static_cast<std::size_t>(std::min<std::uint64_t>(arcs, 4096)), 1);
+    for (std::uint64_t left = arcs; left > 0;) {
+      const std::size_t chunk = static_cast<std::size_t>(
+          std::min<std::uint64_t>(left, ones.size()));
+      write_raw(ones.data(), chunk * sizeof(EdgeWeight));
+      left -= chunk;
+    }
+  } else {
+    write_raw(graph.raw_adjwgt().data(),
+              graph.raw_adjwgt().size() * sizeof(EdgeWeight));
+  }
   write_raw(graph.raw_vwgt().data(), graph.raw_vwgt().size() * sizeof(NodeWeight));
   const std::uint32_t checksum = crc32_final(crc);
   out.write(reinterpret_cast<const char*>(&checksum), sizeof checksum);

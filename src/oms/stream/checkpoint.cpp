@@ -396,7 +396,10 @@ SnapshotSchedule::SnapshotSchedule(const StreamPlan& plan, MetisNodeStream& stre
     : plan_(plan), stream_(stream), k_(k), save_slots_(std::move(save_slots)),
       save_extras_(std::move(save_extras)), next_snapshot_(kNever) {
   if (plan.resume != nullptr) {
-    CheckpointReader r(plan.resume->payload);
+    // The payload (4n bytes and up) has no reader after the load, so it is
+    // freed here rather than held for the rest of the resumed run.
+    const std::vector<char> payload = std::move(plan.resume->payload);
+    CheckpointReader r(payload);
     if (!load(r)) {
       throw unsupported(plan.checkpoint_algo);
     }

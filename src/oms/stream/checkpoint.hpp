@@ -197,12 +197,13 @@ void save_full_state(CheckpointWriter& w, const State& state, NodeId num_nodes) 
 
 /// Checkpoint/resume for one disk run, used as the batch-boundary hook of
 /// run_batched_pipeline by every node-stream driver. Construction resumes
-/// plan.resume, if set: its payload goes to \p load and \p stream jumps to
-/// the recorded position. at_boundary() then snapshots at the first batch
-/// boundary at or past each multiple of plan.checkpoint_every, so resuming
-/// re-enters the stream exactly between two batches and the result is
-/// bit-identical to an uninterrupted run. Drivers that cut their batches
-/// with cap() get snapshots on the exact multiples.
+/// plan.resume, if set: its payload goes to \p load and is freed right
+/// after, and \p stream jumps to the recorded position. at_boundary() then
+/// snapshots at the first batch boundary at or past each multiple of
+/// plan.checkpoint_every, so resuming re-enters the stream exactly between
+/// two batches and the result is bit-identical to an uninterrupted run.
+/// Drivers that cut their batches with cap() get snapshots on the exact
+/// multiples.
 ///
 /// Snapshots go to a version-2 journal: the run's first one writes the
 /// header and a base segment through tmp + rename (which also replaces the

@@ -90,16 +90,16 @@ void MetisNodeStream::parse_data_line(std::string_view line, NodeWeight& weight,
            std::to_string(header_.num_nodes) + "]");
     }
     neighbors.push_back(static_cast<NodeId>(value - 1));
-    EdgeWeight w = 1;
     if (header_.has_edge_weights) {
+      EdgeWeight w = 0;
       if (!tokens.next(w, bad_token)) {
         fail("missing edge weight");
       }
       if (w <= 0) {
         fail("non-positive edge weight " + std::to_string(w));
       }
+      edge_weights.push_back(w);
     }
-    edge_weights.push_back(w);
   }
 }
 
@@ -157,7 +157,14 @@ bool MetisNodeStream::next(StreamedNode& out) {
   if (!next_into(node_weight, neighbor_buffer_, weight_buffer_)) {
     return false;
   }
-  out = StreamedNode{id, node_weight, neighbor_buffer_, weight_buffer_};
+  std::span<const EdgeWeight> edge_weights = weight_buffer_;
+  if (!header_.has_edge_weights) {
+    if (unit_weights_.size() < neighbor_buffer_.size()) {
+      unit_weights_.resize(neighbor_buffer_.size(), EdgeWeight{1});
+    }
+    edge_weights = std::span<const EdgeWeight>(unit_weights_).first(neighbor_buffer_.size());
+  }
+  out = StreamedNode{id, node_weight, neighbor_buffer_, edge_weights};
   return true;
 }
 

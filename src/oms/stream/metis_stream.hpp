@@ -62,7 +62,9 @@ public:
   bool next(StreamedNode& out);
 
   /// Parse the next node, appending its adjacency to the caller-owned sinks
-  /// (nothing is cleared first) and setting \p weight. False once all
+  /// (nothing is cleared first) and setting \p weight. Edge weights are
+  /// appended only when header().has_edge_weights; otherwise every edge
+  /// weight is 1 and \p edge_weights is left alone. False once all
   /// header().num_nodes nodes have been delivered. Lines missing at end of
   /// file are isolated unit-weight nodes; a present line is parsed in full.
   /// Applies the error policy: under kSkip a malformed line rolls back its
@@ -128,6 +130,7 @@ private:
   NodeId next_id_ = 0;
   std::vector<NodeId> neighbor_buffer_;
   std::vector<EdgeWeight> weight_buffer_;
+  std::vector<EdgeWeight> unit_weights_; ///< next()'s weights for unweighted files
   StreamErrorPolicy error_policy_;
   StreamErrorStats error_stats_;
 };

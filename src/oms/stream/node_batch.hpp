@@ -7,6 +7,8 @@
 /// synchronization over thousands of nodes and keeps the adjacency data of a
 /// work unit cache-resident for the assigning thread. Node ids inside a
 /// batch are consecutive (stream order), so only the first id is stored.
+/// A batch parsed from an unweighted file stores no edge weights: like
+/// CsrGraph, its nodes' weight spans point into one run of ones.
 #pragma once
 
 #include <cstddef>
@@ -32,10 +34,17 @@ public:
   }
 
   /// The parser appends one node's adjacency directly into these sinks (no
-  /// intermediate copy), then seals the slot with commit_node().
+  /// intermediate copy), then seals the slot with commit_node(). Edge
+  /// weights go to their sink for every arc of the batch or for none (unit
+  /// weights).
   std::vector<NodeId>& neighbor_sink() noexcept { return neighbors_; }
   std::vector<EdgeWeight>& edge_weight_sink() noexcept { return edge_weights_; }
   void commit_node(NodeWeight weight) {
+    OMS_HEAVY_ASSERT(edge_weights_.empty() || edge_weights_.size() == neighbors_.size());
+    const std::size_t degree = neighbors_.size() - offsets_.back();
+    if (edge_weights_.empty() && degree > unit_weights_.size()) {
+      unit_weights_.resize(degree, EdgeWeight{1});
+    }
     weights_.push_back(weight);
     offsets_.push_back(neighbors_.size());
   }
@@ -48,8 +57,13 @@ public:
   /// growth by arcs, not just node count, so hub nodes don't balloon memory).
   [[nodiscard]] std::size_t num_arcs() const noexcept { return neighbors_.size(); }
 
-  /// Every buffered edge weight in one contiguous span (consumers use it to
-  /// detect the all-unit-weights fast path in a single linear scan).
+  /// True if every buffered edge weight is 1 (then none is stored).
+  [[nodiscard]] bool has_unit_edge_weights() const noexcept {
+    return edge_weights_.empty();
+  }
+
+  /// Every stored edge weight in one contiguous span; empty when
+  /// has_unit_edge_weights().
   [[nodiscard]] std::span<const EdgeWeight> all_edge_weights() const noexcept {
     return edge_weights_;
   }
@@ -60,10 +74,13 @@ public:
     OMS_HEAVY_ASSERT(i < size());
     const std::size_t begin = offsets_[i];
     const std::size_t end = offsets_[i + 1];
+    const EdgeWeight* edge_weights = edge_weights_.empty()
+                                         ? unit_weights_.data()
+                                         : edge_weights_.data() + begin;
     return StreamedNode{
         static_cast<NodeId>(first_id_ + i), weights_[i],
         std::span<const NodeId>(neighbors_.data() + begin, end - begin),
-        std::span<const EdgeWeight>(edge_weights_.data() + begin, end - begin)};
+        std::span<const EdgeWeight>(edge_weights, end - begin)};
   }
 
 private:
@@ -72,6 +89,7 @@ private:
   std::vector<std::size_t> offsets_ = {0};
   std::vector<NodeId> neighbors_;
   std::vector<EdgeWeight> edge_weights_;
+  std::vector<EdgeWeight> unit_weights_; ///< ones, as many as the widest node
 };
 
 } // namespace oms

@@ -88,8 +88,9 @@ struct StreamPlan {
   std::string checkpoint_algo;
   std::uint64_t checkpoint_seed = 0;
   /// Snapshot to continue from, already checked by validate_resume. Not
-  /// owned.
-  const CheckpointState* resume = nullptr;
+  /// owned, but consumed: the run takes its payload (leaving it empty, its
+  /// memory freed) as soon as the state is loaded.
+  CheckpointState* resume = nullptr;
 };
 
 /// Stream \p path through \p assigner as \p plan says. Total memory beyond

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oms/graph/graph_builder.hpp"
 #include "tests/test_support.hpp"
 
 namespace oms {
@@ -49,6 +50,25 @@ TEST(CsrGraph, MemoryFootprintGrowsWithSize) {
   const CsrGraph large = testing::path_graph(1000);
   EXPECT_GT(large.memory_footprint_bytes(), small.memory_footprint_bytes());
   EXPECT_GT(small.memory_footprint_bytes(), 0u);
+}
+
+TEST(CsrGraph, MemoryFootprintOfAUnitGraphHoldsOneRunOfOnes) {
+  // A unit-weight graph stores xadj, adjncy and vwgt, plus max_degree ones
+  // in place of the 2m-entry weight array: 8(n+1) + 4*2m + 8n + 8*max_degree.
+  const CsrGraph star = testing::star_graph(9); // n = 9, m = 8, max degree 8
+  ASSERT_TRUE(star.has_unit_edge_weights());
+  EXPECT_EQ(star.memory_footprint_bytes(), 8u * 10 + 4u * 16 + 8u * 9 + 8u * 8);
+  const CsrGraph cliques = testing::two_cliques_bridge(5);
+  const std::uint64_t n = cliques.num_nodes();
+  const std::uint64_t m = cliques.num_edges();
+  EXPECT_EQ(cliques.memory_footprint_bytes(),
+            8 * (n + 1) + 4 * 2 * m + 8 * n + 8 * cliques.max_degree());
+  // Explicit weights cost 8 bytes per arc instead, and no run of ones.
+  GraphBuilder builder(3);
+  builder.add_edge(0, 1, 2);
+  builder.add_edge(1, 2);
+  const CsrGraph weighted = std::move(builder).build();
+  EXPECT_EQ(weighted.memory_footprint_bytes(), 8u * 4 + 4u * 4 + 8u * 4 + 8u * 3);
 }
 
 TEST(CsrGraphDeath, ConstructorRejectsBadShapes) {

@@ -319,6 +319,18 @@ TEST(MetisBuffered, NextIntoAppendsToCallerSinks) {
   EXPECT_EQ(node_weights, (std::vector<NodeWeight>{1, 1, 1}));
   EXPECT_EQ(neighbors, (std::vector<NodeId>{99, 1, 0, 2, 1}));
   EXPECT_EQ(weights, (std::vector<EdgeWeight>{99, 3, 3, 4, 4}));
+
+  // Without an edge-weight fmt digit every weight is 1 and none is appended.
+  write_text(path, "3 2\n2\n1 3\n2\n");
+  MetisNodeStream unweighted(path);
+  neighbors = {99};
+  node_weights.clear();
+  while (unweighted.next_into(weight, neighbors, weights)) {
+    node_weights.push_back(weight);
+  }
+  EXPECT_EQ(node_weights, (std::vector<NodeWeight>{1, 1, 1}));
+  EXPECT_EQ(neighbors, (std::vector<NodeId>{99, 1, 0, 2, 1}));
+  EXPECT_EQ(weights, (std::vector<EdgeWeight>{99, 3, 3, 4, 4}));
   std::remove(path.c_str());
 }
 
